@@ -4,34 +4,35 @@ Runs the E21 join-chain sweep, the grouped-aggregate sweep, and transitive
 closure on three configurations:
 
 * **planner** — the in-process hash-indexed execution layer;
-* **sqlite warm** — the catalog already loaded (fingerprint cache hit), so
-  a run is render + execute + row coercion;
-* **sqlite cold** — the connection cache cleared each round, so a run also
-  pays catalog load.
+* **sqlite warm** — a prepared query on a held :class:`repro.api.Session`
+  whose catalog is already loaded, so a run is execute + row coercion (the
+  rendered SQL is memoized on the AST);
+* **sqlite cold** — the one-shot ``evaluate()``, whose transient Session
+  loads the catalog into a fresh connection on every call.
 
 Every configuration asserts bag-equality against the planner, and the
-width-4 join sweep asserts the acceptance claim directly: warm-cache SQLite
-must beat the planner at the largest E21 size.
+width-4 join sweep asserts the acceptance claim directly: warm SQLite must
+beat the planner at the largest E21 size.
 
-Representative numbers from the machine this backend was built on
-(CPython 3.11, SQL conventions, min over rounds):
+Representative numbers (CPython 3.11, SQL conventions, min over rounds,
+a shared 2-vCPU x86-64 Linux VM):
 
 ==========================================  ==========  ===========  ===========
 case                                        planner     sqlite warm  sqlite cold
 ==========================================  ==========  ===========  ===========
-join width=2 (E21 sweep, 60 rows/rel)         ~0.40 ms     ~0.35 ms     ~0.71 ms
-join width=3 (E21 sweep, 60 rows/rel)         ~0.81 ms     ~0.59 ms     ~1.16 ms
-join width=4 (E21 sweep, 60 rows/rel)         ~1.56 ms     ~1.00 ms     ~1.77 ms
-grouped aggregate n=100 (E21 sweep)           ~0.11 ms     ~0.23 ms         —
-grouped aggregate n=900 (E21 sweep)           ~0.79 ms     ~0.81 ms     ~4.29 ms
-transitive closure,  50 nodes                 ~2.87 ms     ~1.17 ms         —
-transitive closure, 250 nodes                 ~13.5 ms     ~6.90 ms     ~8.12 ms
+join width=2 (E21 sweep, 60 rows/rel)         ~0.47 ms     ~0.12 ms     ~0.50 ms
+join width=3 (E21 sweep, 60 rows/rel)         ~0.83 ms     ~0.19 ms     ~0.72 ms
+join width=4 (E21 sweep, 60 rows/rel)         ~1.53 ms     ~0.31 ms     ~1.00 ms
+grouped aggregate n=100 (E21 sweep)           ~0.13 ms     ~0.10 ms         —
+grouped aggregate n=900 (E21 sweep)           ~0.78 ms     ~0.68 ms     ~4.16 ms
+transitive closure,  50 nodes                 ~2.86 ms     ~0.84 ms         —
+transitive closure, 250 nodes                 ~14.7 ms     ~6.78 ms     ~7.55 ms
 ==========================================  ==========  ===========  ===========
 
-(Small grouped aggregates are the planner's best case — one fused Python
-scan beats render + load-amortized execution + row coercion — while joins
-and especially recursion favor SQLite's C engine; the recursive CTE halves
-the fixpoint's time even *cold*, since load cost is one pass over P.)
+(Warm runs skip everything but execution and row coercion, so SQLite's C
+engine wins every case; cold runs pay the catalog load, which dominates
+the 900-row grouped aggregate.  The recursive CTE halves the fixpoint's
+time even *cold*, since load cost is one pass over P.)
 """
 
 import os
@@ -39,12 +40,14 @@ import time
 
 import pytest
 
-from repro.backends.exec import clear_catalog_cache
+from repro.api import EvalOptions, Session
 from repro.core.conventions import SQL_CONVENTIONS
 from repro.core.parser import parse
 from repro.data import generators
 from repro.engine import evaluate
 from repro.workloads import sweeps
+
+SQLITE = EvalOptions(backend="sqlite")
 
 ANCESTOR = (
     "{A(s, t) | ∃p ∈ P[A.s = p.s ∧ A.t = p.t] ∨ "
@@ -53,7 +56,14 @@ ANCESTOR = (
 
 
 def _sqlite(query, db):
-    return evaluate(query, db, SQL_CONVENTIONS, backend="sqlite")
+    return evaluate(query, db, SQL_CONVENTIONS, options=SQLITE)
+
+
+def _warm_sqlite(query, db):
+    """``Prepared.run`` on a held Session, its catalog already loaded."""
+    prepared = Session(db, SQL_CONVENTIONS, options=SQLITE).prepare(query)
+    prepared.run()
+    return prepared.run
 
 
 def _planner(query, db):
@@ -74,8 +84,7 @@ def test_join_chain_planner(benchmark, width):
 def test_join_chain_sqlite_warm(benchmark, width):
     db = generators.chain_database(width, 60, domain=30, seed=3)
     query = sweeps.join_chain_query(width)
-    _sqlite(query, db)  # prime the catalog cache
-    result = benchmark(_sqlite, query, db)
+    result = benchmark(_warm_sqlite(query, db))
     assert result == _planner(query, db)
 
 
@@ -83,20 +92,15 @@ def test_join_chain_sqlite_warm(benchmark, width):
 def test_join_chain_sqlite_cold(benchmark, width):
     db = generators.chain_database(width, 60, domain=30, seed=3)
     query = sweeps.join_chain_query(width)
-
-    def cold():
-        clear_catalog_cache()
-        return _sqlite(query, db)
-
-    result = benchmark(cold)
+    result = benchmark(_sqlite, query, db)
     assert result == _planner(query, db)
 
 
 def test_warm_sqlite_beats_planner_on_width4_sweep():
-    """Acceptance claim: at the largest E21 join size, a warm SQLite call
-    (catalog already loaded) is faster than the planner.
+    """Acceptance claim: at the largest E21 join size, a warm SQLite run
+    (held Session, catalog already loaded) is faster than the planner.
 
-    A wall-clock ordering with a ~1.6× margin; skipped on shared CI
+    A wall-clock ordering with a ~5× margin; skipped on shared CI
     runners, where scheduling noise makes timing assertions flake (the
     repo's perf-regression tests are counter-based for the same reason).
     """
@@ -104,18 +108,19 @@ def test_warm_sqlite_beats_planner_on_width4_sweep():
         pytest.skip("timing assertion; set RUN_TIMING_ASSERTIONS=1 to run in CI")
     db = generators.chain_database(4, 60, domain=30, seed=3)
     query = sweeps.join_chain_query(4)
-    assert _sqlite(query, db) == _planner(query, db)  # also primes the cache
+    warm = _warm_sqlite(query, db)
+    assert warm() == _planner(query, db)
 
     def best_of(fn, rounds=7):
         times = []
         for _ in range(rounds):
             start = time.perf_counter()
-            fn(query, db)
+            fn()
             times.append(time.perf_counter() - start)
         return min(times)
 
-    planner_time = best_of(_planner)
-    sqlite_time = best_of(_sqlite)
+    planner_time = best_of(lambda: _planner(query, db))
+    sqlite_time = best_of(warm)
     assert sqlite_time < planner_time, (
         f"warm sqlite {sqlite_time * 1e3:.3f} ms vs "
         f"planner {planner_time * 1e3:.3f} ms"
@@ -136,8 +141,7 @@ def test_grouped_aggregate_planner(benchmark, n_rows):
 def test_grouped_aggregate_sqlite_warm(benchmark, n_rows):
     db = sweeps.size_sweep_database(n_rows, seed=1)
     query = sweeps.grouped_aggregate_query()
-    _sqlite(query, db)
-    result = benchmark(_sqlite, query, db)
+    result = benchmark(_warm_sqlite(query, db))
     assert result == _planner(query, db)
 
 
@@ -145,12 +149,7 @@ def test_grouped_aggregate_sqlite_warm(benchmark, n_rows):
 def test_grouped_aggregate_sqlite_cold(benchmark, n_rows):
     db = sweeps.size_sweep_database(n_rows, seed=1)
     query = sweeps.grouped_aggregate_query()
-
-    def cold():
-        clear_catalog_cache()
-        return _sqlite(query, db)
-
-    result = benchmark(cold)
+    result = benchmark(_sqlite, query, db)
     assert result == _planner(query, db)
 
 
@@ -168,8 +167,7 @@ def test_transitive_closure_planner(benchmark, n_nodes):
 def test_transitive_closure_sqlite_warm(benchmark, n_nodes):
     db = generators.parent_edges(n_nodes, seed=5, extra_edges=n_nodes // 4)
     query = parse(ANCESTOR)
-    _sqlite(query, db)
-    result = benchmark(_sqlite, query, db)
+    result = benchmark(_warm_sqlite(query, db))
     assert result == _planner(query, db)
 
 
@@ -177,10 +175,5 @@ def test_transitive_closure_sqlite_warm(benchmark, n_nodes):
 def test_transitive_closure_sqlite_cold(benchmark, n_nodes):
     db = generators.parent_edges(n_nodes, seed=5, extra_edges=n_nodes // 4)
     query = parse(ANCESTOR)
-
-    def cold():
-        clear_catalog_cache()
-        return _sqlite(query, db)
-
-    result = benchmark(cold)
+    result = benchmark(_sqlite, query, db)
     assert result == _planner(query, db)

@@ -1,42 +1,37 @@
 """E26 — the Session API: cold one-shot vs warm prepared execution.
 
-Runs the E21 join-chain sweep under the SQLite backend on three
-configurations spanning the request lifecycles a service can have:
+Runs the E21 join-chain sweep under the SQLite backend on the two request
+lifecycles a caller can have:
 
-* **one-shot cold** — a stateless process per request (the pre-Session
-  architecture the ROADMAP's service-mode item describes: the catalog
-  fingerprint cache is process-local, so every request pays parse +
-  capability probe + SQL render + catalog load + execute).  Simulated by
-  clearing the connection cache around each call;
-* **one-shot warm-process** — repeated ``evaluate()`` calls in one process:
-  the catalog connection is warm, but each call re-parses and re-probes
-  because nothing pins the AST;
+* **one-shot cold** — ``evaluate()``: a transient Session per call, cold by
+  design — every call pays parse + capability probe + SQL render + catalog
+  load + execute, and closes its connection;
 * **session warm** — ``Prepared.run()`` on a long-lived
   :class:`repro.api.Session`: parse, scope plans, probe verdict, rendered
-  SQL, and the loaded connection are all reused; a request is fingerprint
-  check + execute + row coercion.
+  SQL, and the Session's own loaded connection are all reused; a request
+  is fingerprint check + execute + row coercion.
 
 Every configuration asserts bag-equality against the planner, and the
 width-4 sweep asserts the acceptance claim directly: warm ``Prepared.run()``
 must be ≥ 3× faster than the cold one-shot.
 
-Representative numbers from the machine this API was built on
-(CPython 3.12, SQL conventions, min over rounds):
+Representative numbers (CPython 3.11, SQL conventions, min over rounds,
+a shared 2-vCPU x86-64 Linux VM):
 
-==========================================  ===========  ============  ===========
-case                                        one-shot     one-shot      session
-                                            cold         warm-process  warm
-==========================================  ===========  ============  ===========
-join width=2 (E21 sweep, 60 rows/rel)         ~0.85 ms      ~0.39 ms     ~0.12 ms
-join width=3 (E21 sweep, 60 rows/rel)         ~1.19 ms      ~0.56 ms     ~0.19 ms
-join width=4 (E21 sweep, 60 rows/rel)         ~1.62 ms      ~0.77 ms     ~0.31 ms
-==========================================  ===========  ============  ===========
+==========================================  ===========  ===========
+case                                        one-shot     session
+                                            cold         warm
+==========================================  ===========  ===========
+join width=2 (E21 sweep, 60 rows/rel)         ~0.90 ms     ~0.12 ms
+join width=3 (E21 sweep, 60 rows/rel)         ~1.13 ms     ~0.19 ms
+join width=4 (E21 sweep, 60 rows/rel)         ~1.49 ms     ~0.31 ms
+==========================================  ===========  ===========
 
-(≈ 5× cold → warm at width 4; the remaining warm cost is SQLite execution
-plus result coercion, which PR 4 cut ~2× by deduplicating raw rows before
-building Tuples.)  The serve endpoint adds HTTP framing on top of the
-session-warm column — its second-request latency is asserted (not timed)
-by ``tests/api/test_serve.py``.
+(The remaining warm cost is SQLite execution plus result coercion, which
+deduplicating raw rows before building Tuples cut ~2×.)  The serve
+endpoint adds HTTP framing on top of the session-warm column — its
+second-request latency is asserted (not timed) by
+``tests/api/test_serve.py``.
 """
 
 import os
@@ -46,7 +41,6 @@ import pytest
 
 from repro.api import EvalOptions, Session
 from repro.backends.comprehension import render
-from repro.backends.exec import clear_catalog_cache
 from repro.core.conventions import SQL_CONVENTIONS
 from repro.core.parser import parse
 from repro.data import generators
@@ -72,27 +66,13 @@ def _one_shot(text, db):
     return evaluate(parse(text), db, SQL_CONVENTIONS, options=OPTIONS)
 
 
-# -- the three lifecycles ------------------------------------------------------
+# -- the two lifecycles --------------------------------------------------------
 
 
 @pytest.mark.parametrize("width", [2, 3, 4])
 def test_one_shot_cold_process(benchmark, width):
     db = _database(width)
     text = _query_text(width)
-
-    def cold():
-        clear_catalog_cache()
-        return _one_shot(text, db)
-
-    result = benchmark(cold)
-    assert result == _planner_result(text, db)
-
-
-@pytest.mark.parametrize("width", [2, 3, 4])
-def test_one_shot_warm_process(benchmark, width):
-    db = _database(width)
-    text = _query_text(width)
-    _one_shot(text, db)  # prime the process-level caches
     result = benchmark(_one_shot, text, db)
     assert result == _planner_result(text, db)
 
@@ -101,7 +81,6 @@ def test_one_shot_warm_process(benchmark, width):
 def test_session_warm(benchmark, width):
     db = _database(width)
     text = _query_text(width)
-    clear_catalog_cache()  # the cold run below pays the load, not the bench
     session = Session(db, SQL_CONVENTIONS, options=OPTIONS)
     prepared = session.prepare(text)
     prepared.run()  # cold run: parse/probe/render/load
@@ -140,12 +119,8 @@ def test_warm_prepared_run_beats_cold_one_shot_by_3x():
             times.append(time.perf_counter() - start)
         return min(times)
 
-    def cold():
-        clear_catalog_cache()
-        _one_shot(text, db)
-
     warm_time = best_of(prepared.run)
-    cold_time = best_of(cold, rounds=5)
+    cold_time = best_of(lambda: _one_shot(text, db), rounds=5)
     assert cold_time > 3 * warm_time, (
         f"session warm {warm_time * 1e3:.3f} ms vs "
         f"one-shot cold {cold_time * 1e3:.3f} ms"

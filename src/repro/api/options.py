@@ -8,14 +8,12 @@ engine, and the backend dispatch simply never looked at ``planner``).
 
 :class:`EvalOptions` is the replacement: an immutable, validated bundle that
 **raises** :class:`~repro.errors.OptionsError` on contradictory combinations
-instead of picking a winner silently.  :class:`~repro.api.Session` carries
-one; the legacy ``evaluate(...)`` kwargs still work through a deprecation
-shim (:func:`warn_legacy`) that warns once per kwarg per process.
+instead of picking a winner silently.  :class:`~repro.api.Session` and the
+one-shot ``evaluate(..., options=...)`` each take one.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 from ..errors import OptionsError
@@ -150,30 +148,3 @@ class EvalOptions:
         if timeout_ms is None and max_rows is None and cancel is None:
             return None
         return Deadline(timeout_ms=timeout_ms, max_rows=max_rows, cancel=cancel)
-
-
-#: Legacy ``evaluate(...)`` kwargs that have already warned this process.
-_WARNED_LEGACY = set()
-
-
-def warn_legacy(kwarg, *, stacklevel=3):
-    """Deprecation-warn about a legacy ``evaluate`` kwarg, once per process.
-
-    The shim keeps every old call site working; the warning fires exactly
-    once per kwarg name per process (not per call), so hot loops that still
-    pass ``planner=False`` pay one set lookup, not a warning flood.
-    """
-    if kwarg in _WARNED_LEGACY:
-        return
-    _WARNED_LEGACY.add(kwarg)
-    warnings.warn(
-        f"evaluate(..., {kwarg}=...) is deprecated; pass "
-        "options=repro.api.EvalOptions(...) or hold a repro.api.Session",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
-
-def reset_legacy_warnings():
-    """Forget which legacy kwargs have warned (test isolation hook)."""
-    _WARNED_LEGACY.clear()

@@ -110,7 +110,7 @@ from ..errors import (
     WorkerCrash,
 )
 from ..frontends import FRONTENDS
-from ..obs import MetricsRegistry, Tracer, render_prometheus
+from ..obs import MetricsRegistry, render_prometheus
 from ..serve import (
     DEFAULT_POISON_THRESHOLD,
     DEFAULT_QUARANTINE_TTL_S,
@@ -317,12 +317,12 @@ def _prometheus_extra(server):
 class QueryServer(ThreadingHTTPServer):
     """An HTTP front end over a worker pool of warm Sessions.
 
-    *session* is the control session: it defines the default catalog,
-    conventions, externals, and options, and worker 0 adopts it (so a
-    single-worker server executes on exactly the session object the
-    caller holds).  Extra *catalogs* (name → Database) become selectable
-    via the request ``catalog`` field; workers build Sessions for them
-    lazily through a bounded per-worker LRU.
+    *session* is the control session: it supplies the default catalog,
+    conventions, externals, and options, and never executes a request —
+    every worker builds its own Sessions from it.  Extra *catalogs*
+    (name → Database) become selectable via the request ``catalog`` field;
+    workers build Sessions for them lazily through a bounded per-worker
+    LRU.
     """
 
     # Handler threads are daemonic: a keep-alive connection parked in
@@ -350,30 +350,21 @@ class QueryServer(ThreadingHTTPServer):
         self.log_requests = log_requests or log_json
         self.log_json = log_json
         self.logger = configure_request_logging() if self.log_requests else None
-        # Metrics-only tracing: phase durations feed the histograms behind
-        # /metrics and /stats; spans drop immediately (keep_spans=False),
-        # so serving forever accumulates no trace memory.  A tracer the
-        # caller already installed is respected — its registry (if any)
-        # backs /metrics instead.
-        if session.tracer is None:
-            self.metrics = MetricsRegistry()
-            session.tracer = Tracer(metrics=self.metrics, keep_spans=False)
+        # One registry behind /metrics and /stats, fed by the metrics-only
+        # tracer on every worker Session; a registry on the caller's own
+        # tracer is reused.
+        tracer = session.tracer
+        if tracer is not None and tracer.metrics is not None:
+            self.metrics = tracer.metrics
         else:
-            if session.tracer.metrics is None:
-                session.tracer.metrics = MetricsRegistry()
-            self.metrics = session.tracer.metrics
-        if workers > 1:
-            # Multi-worker servers isolate the adopted session's SQLite
-            # connections from the process-wide cache, so worker 0 never
-            # shares a handle with code outside the pool.
-            session.private_connections = True
+            self.metrics = MetricsRegistry()
         self.factory = SessionFactory.from_session(
             session, metrics=self.metrics, catalogs=catalogs
         )
         self.pool = WorkerPool(
             self.factory, workers, queue_depth,
             session_limit=session_limit, metrics=self.metrics,
-            adopt=session, hard_timeout_ms=hard_timeout_ms,
+            hard_timeout_ms=hard_timeout_ms,
             shed_threshold_ms=shed_threshold_ms,
             poison_threshold=poison_threshold,
             quarantine_ttl_s=quarantine_ttl_s,
@@ -817,8 +808,9 @@ def make_server(session, host="127.0.0.1", port=0, *, workers=1,
     The caller drives it: ``server.serve_forever()`` to block,
     ``server.handle_request()`` for one request, ``server.server_close()``
     to drain the pool and release the socket.  ``server.url`` reports the
-    bound address.  ``workers`` sizes the execution pool (worker 0 adopts
-    *session*; the default of 1 preserves strictly serialized execution);
+    bound address.  *session* supplies the defaults every worker Session
+    is built from.  ``workers`` sizes the execution pool (the default of 1
+    preserves strictly serialized execution);
     ``queue_depth`` bounds admission; *catalogs* maps extra catalog names
     to Databases for the request ``catalog`` field.  ``log_requests``
     emits one ``repro.serve`` logging line per request; ``log_json``

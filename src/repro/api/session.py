@@ -3,12 +3,13 @@
 A :class:`Session` is the warm-state owner real engines put behind a
 connection handle: it pins the parsed ASTs of prepared queries (keeping
 their per-node compiled-plan caches alive), accumulates one
-:class:`~repro.engine.planner.ExecutionStats` across runs, reuses the
-SQLite catalog connection through the fingerprint cache, and memoizes
-backend capability-probe verdicts per catalog state.  The one-shot
-``repro.evaluate(...)`` is a thin wrapper constructing a transient Session;
-``repro serve`` holds one Session per catalog so repeated requests hit all
-of these caches.
+:class:`~repro.engine.planner.ExecutionStats` across runs, owns the one
+in-memory SQLite connection holding its catalog, and memoizes backend
+capability-probe verdicts per catalog state.  The one-shot
+``repro.evaluate(...)`` is a thin wrapper around a transient Session — cold
+by design: it loads, runs once, and closes.  ``repro serve`` holds one
+Session per catalog per worker so repeated requests hit all of these
+caches.
 
 Warm-state inventory (and what invalidates each piece):
 
@@ -19,14 +20,15 @@ scope plans               weak per-AST-node cache (planner)        AST garbage-c
 relation hash indexes     ``Relation._indexes``                    ``Relation.add``
 decorrelation indexes     shared derived cache on inner relations  any inner mutation
 probe verdicts            shared derived cache on all relations    any catalog mutation
-SQLite connection         fingerprint-keyed connection cache       any catalog mutation
+SQLite connection         the Session's one connection             any catalog mutation
 parsed queries            the Session's prepared-query LRU         eviction only
 ========================  =======================================  =====================
 
 A Session (and everything it hands out) is **not thread-safe**; callers
-serialize access.  ``repro serve`` gives each pool worker its *own*
-Session (built with ``private_connections=True`` so SQLite runs use a
-connection no other thread touches) and never shares one across threads.
+serialize access.  Its SQLite connection is its own — no other Session or
+thread runs on it, so one run's progress handler or watchdog interrupt
+never reaches another's query.  ``repro serve`` builds a Session per pool
+worker and catalog and never shares one across threads.
 """
 
 from __future__ import annotations
@@ -46,10 +48,6 @@ from .options import EvalOptions
 
 #: Prepared queries a session retains before evicting the least recent.
 _PREPARED_LIMIT = 64
-
-#: Private in-memory SQLite connections a session retains (one per
-#: catalog fingerprint) before evicting and closing the least recent.
-_PRIVATE_CONN_LIMIT = 8
 
 
 class Prepared:
@@ -194,8 +192,8 @@ class SessionContext:
         """A SQLite connection for *database* honoring ``options.db_file``.
 
         With ``db_file`` the connection is fresh and the caller closes it;
-        in-memory connections belong to the fingerprint cache and must not
-        be closed.
+        the in-memory connection belongs to the session, which closes it
+        when the catalog changes or the session closes.
         """
         return self.session._acquire_connection(database, self.options.db_file)
 
@@ -225,7 +223,7 @@ class Session:
     """
 
     def __init__(self, database=None, conventions=SET_CONVENTIONS, *,
-                 externals=None, options=None, private_connections=False):
+                 externals=None, options=None):
         if options is None:
             options = EvalOptions()
         elif not isinstance(options, EvalOptions):
@@ -247,14 +245,11 @@ class Session:
         #: Optional :class:`~repro.obs.Tracer`; None (the default) keeps
         #: every instrumentation site on its zero-overhead branch.
         self.tracer = None
-        #: With ``private_connections`` the session's in-memory SQLite
-        #: connections are its own (built fresh, closed by :meth:`close`)
-        #: instead of borrowed from the process-wide fingerprint cache.
-        #: ``repro serve`` sets this so N pool workers execute on N
-        #: connections rather than serializing on one shared handle.
-        self.private_connections = private_connections
         self._prepared = OrderedDict()  # (text, frontend) -> Prepared
-        self._connections = OrderedDict()  # fingerprint -> private sqlite conn
+        #: The session's in-memory SQLite catalog and the fingerprint it
+        #: was loaded at (None until the first SQLite run).
+        self._connection = None
+        self._fingerprint = None
 
     # -- preparing ---------------------------------------------------------
 
@@ -368,39 +363,33 @@ class Session:
         from ..backends.exec import sqlite_exec
 
         tracer = self.tracer
-        if db_file is None and self.private_connections:
-            # Session-private connections: the fingerprint keys a per-
-            # *session* LRU instead of the process-wide cache, so this
-            # session's runs never share a sqlite handle with another
-            # thread.  Counters are maintained locally — the global
-            # ``sqlite_exec.stats`` delta would race across workers.
-            with NULL_SPAN if tracer is None else tracer.span(
-                "sqlite.connect"
-            ) as span:
+        with NULL_SPAN if tracer is None else tracer.span(
+            "sqlite.connect"
+        ) as span:
+            if db_file is not None:
+                conn = sqlite_exec.connect_catalog(database, db_file=db_file)
+                loaded = conn.total_changes > 0
+            else:
                 fingerprint = sqlite_exec.catalog_fingerprint(database)
-                conn = self._connections.get(fingerprint)
-                if conn is not None:
-                    self._connections.move_to_end(fingerprint)
-                    self.catalog_hits += 1
-                    span.tag(loaded=False)
-                    return conn
-                conn = sqlite_exec.load_private_catalog(database)
-                span.tag(loaded=True)
+                loaded = fingerprint != self._fingerprint
+                if loaded:
+                    self._close_connection()
+                    self._connection = sqlite_exec.load_private_catalog(
+                        database
+                    )
+                    self._fingerprint = fingerprint
+                conn = self._connection
+            span.tag(loaded=loaded)
+        if loaded:
             self.catalog_loads += 1
-            self._connections[fingerprint] = conn
-            while len(self._connections) > _PRIVATE_CONN_LIMIT:
-                _, evicted = self._connections.popitem(last=False)
-                evicted.close()
-            return conn
-        before = sqlite_exec.stats["loads"]
-        with NULL_SPAN if tracer is None else tracer.span("sqlite.connect") as span:
-            conn = sqlite_exec.connect_catalog(database, db_file=db_file)
-            loaded = sqlite_exec.stats["loads"] - before
-            span.tag(loaded=bool(loaded))
-        self.catalog_loads += loaded
-        if not loaded:
+        else:
             self.catalog_hits += 1
         return conn
+
+    def _close_connection(self):
+        conn, self._connection, self._fingerprint = self._connection, None, None
+        if conn is not None:
+            conn.close()
 
     def _probe(self, engine, node, conventions, database, options):
         """Capability-probe *engine* for *node*, memoized per catalog state.
@@ -445,19 +434,10 @@ class Session:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self):
-        """Release the session's prepared queries and private connections.
-
-        Shared in-memory SQLite connections belong to the process-wide
-        fingerprint cache (other sessions over the same catalog share
-        them) and stay open; *private* connections
-        (``private_connections=True``) are this session's own and are
-        closed here — the serve pool's session LRU relies on that when it
-        evicts.
-        """
+        """Release the session's prepared queries and close its SQLite
+        connection (a later run reloads the catalog)."""
         self._prepared.clear()
-        while self._connections:
-            _, conn = self._connections.popitem(last=False)
-            conn.close()
+        self._close_connection()
 
     def __enter__(self):
         return self

@@ -18,16 +18,18 @@ Catalog mapping
 * columns are created without type affinity, so values come back exactly as
   inserted.
 
-Connection cache
-----------------
-Loaded catalogs are cached per *fingerprint* — a deterministic digest of
-every relation's schema and rows — so repeated CLI/service calls against an
-unchanged catalog reuse the in-memory connection instead of reloading.
-Mutating a relation changes its fingerprint (the per-relation digest rides
-the same derived-result cache that ``Relation.add`` invalidates), which
-naturally turns the next call into a cold load.  With ``db_file`` the
-catalog persists on disk: the fingerprint is stored in a meta table and the
-tables are reloaded only when it changes, so separate processes start warm.
+Connections
+-----------
+Every in-memory connection has exactly one owner.  A
+:class:`~repro.api.Session` keeps one connection for its catalog, tagged
+with the catalog *fingerprint* — a deterministic digest of every
+relation's schema and rows — it was loaded at; mutating a relation changes
+the fingerprint (the per-relation digest rides the same derived-result
+cache that ``Relation.add`` invalidates), so the Session's next run swaps
+in a freshly loaded connection.  Context-less callers get a fresh
+connection per call and close it.  With ``db_file`` the catalog persists
+on disk: the fingerprint is stored in a meta table and the tables are
+reloaded only when it changes, so separate processes start warm.
 
 Capability probe
 ----------------
@@ -59,10 +61,9 @@ from __future__ import annotations
 
 import hashlib
 import sqlite3
-import threading
 import time
 import weakref
-from collections import Counter, OrderedDict
+from collections import Counter
 
 from ...core import nodes as n
 from ...core.scopes import free_variables
@@ -90,7 +91,6 @@ def _correlated_lateral_bindings(prepared):
                 yield binding
 
 _META_TABLE = "__arc_catalog__"
-_CACHE_LIMIT = 8
 
 #: Execute-retry policy for *transient* ``sqlite3.OperationalError``
 #: ("database is locked" / "busy"): bounded attempts with deterministic
@@ -103,19 +103,6 @@ _RETRY_BASE_S = 0.01
 #: that a runaway ``WITH RECURSIVE`` notices its deadline within
 #: milliseconds; large enough to stay invisible on the warm serve path.
 _PROGRESS_STRIDE = 4096
-
-#: In-memory connections keyed by catalog fingerprint (LRU, bounded).
-_connections = OrderedDict()
-
-#: Guards ``_connections`` and ``stats``: the serve pool's workers (and
-#: its control thread) may connect concurrently, and an unguarded
-#: get/insert/evict on the OrderedDict would corrupt it.
-_cache_lock = threading.Lock()
-
-#: Observability counters for tests and benchmarks (guarded by
-#: ``_cache_lock`` — bare ``+=`` would lose increments under the pool).
-stats = {"loads": 0, "hits": 0}
-
 
 class _FingerprintOwner:
     """Weak-referenceable key for the per-relation fingerprint cache."""
@@ -266,18 +253,16 @@ def _load_catalog(conn, database):
                 f"insert into {_quote(name)} values ({placeholders})", rows
             )
     conn.commit()
-    with _cache_lock:
-        stats["loads"] += 1
 
 
 def load_private_catalog(database):
     """A fresh, caller-owned in-memory connection holding *database*.
 
-    Bypasses the process-wide fingerprint cache entirely: the caller (a
-    :class:`~repro.api.Session` with ``private_connections=True``) owns
-    the connection and closes it.  This is what lets N serve workers
-    execute concurrently — SQLite releases the GIL inside ``step()``, but
-    only when each thread drives its own connection.
+    The caller — a :class:`~repro.api.Session`, or a context-less run —
+    owns the connection and closes it; no other thread ever touches it,
+    which is what lets N serve workers execute concurrently (SQLite
+    releases the GIL inside ``step()``) and keeps one run's progress
+    handler or watchdog interrupt off every other run.
     """
     failpoints.hit("sqlite.connect")
     conn = sqlite3.connect(":memory:", check_same_thread=False)
@@ -290,58 +275,18 @@ def load_private_catalog(database):
 
 
 def connect_catalog(database, *, db_file=None):
-    """A SQLite connection holding *database*, reusing warm catalogs.
+    """A fresh, caller-owned SQLite connection holding *database*.
 
-    In-memory connections are cached per fingerprint (LRU of
-    ``_CACHE_LIMIT``).  With *db_file* a fresh connection to the file is
-    returned — the caller closes it — and the tables are reloaded only when
-    the stored fingerprint disagrees with the catalog's.
-
-    Cache bookkeeping is lock-guarded so concurrent callers cannot corrupt
-    the LRU, but a *shared* connection handed out here may still be
-    serialized (or evicted) under another thread — threads that need an
-    exclusive handle use :func:`load_private_catalog` instead.
+    In memory this is :func:`load_private_catalog`.  With *db_file* the
+    connection opens the file and reloads the tables only when the stored
+    fingerprint disagrees with the catalog's; a reload always writes the
+    fingerprint row, so ``conn.total_changes > 0`` tells the caller it paid
+    for one.
     """
+    if db_file is None:
+        return load_private_catalog(database)
     failpoints.hit("sqlite.connect")
     fingerprint = catalog_fingerprint(database)
-    if db_file is None:
-        with _cache_lock:
-            conn = _connections.get(fingerprint)
-            if conn is not None:
-                _connections.move_to_end(fingerprint)
-                stats["hits"] += 1
-                return conn
-        # check_same_thread=False: the cache may be primed in one thread
-        # and consumed in another (callers serialize actual use).  The
-        # catalog loads *outside* the lock — it is the slow part — and the
-        # publish below resolves the race two concurrent loaders create.
-        conn = sqlite3.connect(":memory:", check_same_thread=False)
-        try:
-            _load_catalog(conn, database)
-        except BaseException:
-            conn.close()
-            raise
-        evicted = []
-        redundant = None
-        with _cache_lock:
-            existing = _connections.get(fingerprint)
-            if existing is not None:
-                # Another thread published the same catalog first: adopt
-                # theirs, discard ours (closing outside the lock).
-                _connections.move_to_end(fingerprint)
-                stats["hits"] += 1
-                redundant, conn = conn, existing
-            else:
-                _connections[fingerprint] = conn
-                while len(_connections) > _CACHE_LIMIT:
-                    _, victim = _connections.popitem(last=False)
-                    evicted.append(victim)
-        if redundant is not None:
-            redundant.close()
-        for victim in evicted:
-            victim.close()
-        return conn
-
     conn = sqlite3.connect(db_file, check_same_thread=False)
     try:
         stored = conn.execute(
@@ -350,8 +295,6 @@ def connect_catalog(database, *, db_file=None):
     except sqlite3.Error:
         stored = None
     if stored is not None and stored[0] == fingerprint:
-        with _cache_lock:
-            stats["hits"] += 1
         return conn
     try:
         for (table,) in conn.execute(
@@ -372,14 +315,13 @@ def connect_catalog(database, *, db_file=None):
 
 
 def clear_catalog_cache():
-    """Close and drop every cached in-memory connection (cold-start state)."""
-    with _cache_lock:
-        conns = list(_connections.values())
-        _connections.clear()
-        stats["loads"] = 0
-        stats["hits"] = 0
-    for conn in conns:
-        conn.close()
+    """No-op: Sessions own their connections, so no process-wide cache is
+    left to clear.
+
+    It stays importable only because the benchmark under ``perfbench/``
+    still calls it; drop it together with those calls in the next change to
+    that benchmark.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +602,9 @@ class SqliteBackend(Backend):
         tracer = getattr(context, "tracer", None)
         with NULL_SPAN if tracer is None else tracer.span("sql.compile"):
             prepared, sql = compile_sql(node, database, decorrelate=decorrelate)
+        # Only a session's in-memory catalog outlives the run; file-backed
+        # and context-less connections are the run's own and close below.
+        owned = context is None or db_file is not None
         try:
             if context is not None:
                 conn = context.acquire_connection(database)
@@ -729,10 +674,10 @@ class SqliteBackend(Backend):
         finally:
             if cancel is not None:
                 cancel.disarm_connection()
-            if armed:
-                conn.set_progress_handler(None, 0)
-            if db_file is not None:
+            if owned:
                 conn.close()
+            elif armed:
+                conn.set_progress_handler(None, 0)
         return _shape_result(prepared, raw)
 
 

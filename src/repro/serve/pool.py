@@ -3,11 +3,9 @@
 A :class:`~repro.api.Session` is not thread-safe, so the pool never
 shares one: each worker thread owns a bounded :class:`SessionLRU` of
 Sessions (one per catalog it has served), built by a
-:class:`SessionFactory` from the catalog map.  Worker Sessions use
-**private** SQLite connections (``private_connections=True``) so N
-workers execute on N connections instead of serializing on the
-process-wide fingerprint cache; evicting a Session closes its
-connections.
+:class:`SessionFactory` from the catalog map.  Every Session owns its
+SQLite connection, so N workers execute on N connections; evicting a
+Session closes its connection.
 
 Jobs are plain callables ``fn(worker) -> result`` submitted through a
 **bounded** queue.  :meth:`WorkerPool.submit` never blocks: a full queue
@@ -167,15 +165,14 @@ class SessionFactory:
 
     *catalogs* maps catalog name → :class:`~repro.data.database.Database`;
     *default* names the catalog requests get when they don't ask for one.
-    Sessions built here use private SQLite connections (each worker
-    executes on its own connection) and, when *metrics* is given, a
-    metrics-only tracer feeding the shared registry — per-phase latency
-    histograms aggregate across workers while span records are dropped.
+    When *metrics* is given, Sessions built here carry a metrics-only
+    tracer feeding the shared registry — per-phase latency histograms
+    aggregate across workers while span records are dropped.
     """
 
     def __init__(self, catalogs, conventions=SET_CONVENTIONS, *,
                  externals=None, options=None, default=DEFAULT_CATALOG,
-                 metrics=None, private_connections=True):
+                 metrics=None):
         if default not in catalogs:
             raise LookupError(
                 f"default catalog {default!r} missing from "
@@ -187,14 +184,15 @@ class SessionFactory:
         self.options = options
         self.default = default
         self.metrics = metrics
-        self.private_connections = private_connections
 
     @classmethod
     def from_session(cls, session, *, metrics=None, catalogs=None,
                      default=DEFAULT_CATALOG):
         """A factory whose default catalog is *session*'s database.
 
-        Extra named *catalogs* (name → Database) extend the map for
+        *session* only supplies defaults — catalog, conventions, externals
+        and options; the factory never hands out *session* itself.  Extra
+        named *catalogs* (name → Database) extend the map for
         multi-catalog serving.
         """
         full = {default: session.database}
@@ -231,7 +229,6 @@ class SessionFactory:
             self.conventions,
             externals=self.externals,
             options=self.options,
-            private_connections=self.private_connections,
         )
         if self.metrics is not None:
             from ..obs import Tracer
@@ -272,16 +269,11 @@ class SessionLRU:
                 _, victim = self._sessions.popitem(last=False)
                 victims.append(victim)
                 self.evicted += 1
-        # Closing outside the lock: eviction closes private SQLite
+        # Closing outside the lock: eviction closes the victims' SQLite
         # connections, which must not block snapshot readers.
         for victim in victims:
             victim.close()
         return session
-
-    def adopt(self, name, session):
-        """Install an externally built Session (the server's warm one)."""
-        with self._lock:
-            self._sessions[name] = session
 
     def snapshot(self):
         """A consistent (name, Session) list for cross-thread readers."""
@@ -330,17 +322,11 @@ class Worker:
 
 
 class WorkerPool:
-    """Fixed worker threads draining a bounded job queue.
-
-    *adopt* (optional) is a pre-built Session installed as worker 0's
-    default-catalog Session — ``repro serve`` passes its warm control
-    session so single-worker servers keep the exact session object tests
-    and callers hold a reference to.
-    """
+    """Fixed worker threads draining a bounded job queue."""
 
     def __init__(self, factory, workers=1, queue_depth=DEFAULT_QUEUE_DEPTH,
                  *, session_limit=DEFAULT_SESSION_LIMIT, metrics=None,
-                 adopt=None, hard_timeout_ms=None, shed_threshold_ms=None,
+                 hard_timeout_ms=None, shed_threshold_ms=None,
                  poison_threshold=DEFAULT_POISON_THRESHOLD,
                  quarantine_ttl_s=DEFAULT_QUARANTINE_TTL_S,
                  watchdog_interval_s=WATCHDOG_INTERVAL_S):
@@ -374,8 +360,6 @@ class WorkerPool:
         self.workers = [
             Worker(index, self, session_limit) for index in range(workers)
         ]
-        if adopt is not None:
-            self.workers[0].sessions.adopt(factory.default, adopt)
         self._histogram = None
         self._respawn_counter = None
         self._watchdog_counter = None

@@ -19,7 +19,7 @@ import pytest
 
 import repro
 from repro.api import EvalOptions, Session
-from repro.backends.exec import reset_breakers, sqlite_exec
+from repro.backends.exec import reset_breakers
 from repro.core.conventions import SQL_CONVENTIONS
 from repro.errors import ArcError
 
@@ -38,7 +38,6 @@ def cold_breakers():
     # them (that *is* chaos), but it must not leak open breakers into
     # whatever runs next.
     reset_breakers()
-    sqlite_exec.clear_catalog_cache()
     yield
     reset_breakers()
 

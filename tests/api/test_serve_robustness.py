@@ -16,7 +16,7 @@ import pytest
 import repro
 from repro.api import EvalOptions, Session
 from repro.api.serve import install_sigterm_handler, make_server
-from repro.backends.exec import breaker_for, reset_breakers, sqlite_exec
+from repro.backends.exec import breaker_for, reset_breakers
 from repro.backends.exec import registry as registry_mod
 from repro.backends.exec.registry import CircuitBreaker
 from repro.core.conventions import SET_CONVENTIONS, SQL_CONVENTIONS
@@ -31,7 +31,6 @@ SIMPLE = "{Q(x) | ∃p ∈ P[Q.x = p.x]}"
 def clean_state():
     failpoints.reset()
     reset_breakers()
-    sqlite_exec.clear_catalog_cache()
     yield
     failpoints.reset()
     reset_breakers()

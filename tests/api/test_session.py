@@ -12,7 +12,6 @@ import pytest
 
 from repro.api import EvalOptions, Prepared, Session
 from repro.backends.exec import BackendFallbackWarning
-from repro.backends.exec import sqlite_exec
 from repro.core.conventions import SET_CONVENTIONS, SQL_CONVENTIONS
 from repro.core.parser import parse
 from repro.data import Database
@@ -101,16 +100,14 @@ class TestWarmStateReuse:
         assert session.stats.decorr_index_builds == 1  # reused, not rebuilt
 
     def test_second_run_reloads_no_catalog(self, db):
-        sqlite_exec.clear_catalog_cache()
         session = Session(
             db, SQL_CONVENTIONS, options=EvalOptions(backend="sqlite")
         )
         prepared = session.prepare(JOIN)
         first = prepared.run()
         assert session.catalog_loads == 1
-        loads_after_first = sqlite_exec.stats["loads"]
         assert prepared.run() == first
-        assert sqlite_exec.stats["loads"] == loads_after_first
+        assert session.catalog_loads == 1
         assert session.catalog_hits == 1
 
     def test_second_run_skips_the_capability_probe(self, db):
@@ -145,7 +142,6 @@ class TestWarmStateReuse:
         )
 
     def test_mutation_reloads_the_sqlite_catalog(self, db):
-        sqlite_exec.clear_catalog_cache()
         session = Session(
             db, SQL_CONVENTIONS, options=EvalOptions(backend="sqlite")
         )
@@ -167,6 +163,41 @@ class TestWarmStateReuse:
         assert probes_after_join > 0
         session.prepare(GROUPED).run()
         assert session.stats.index_probes >= probes_after_join
+
+
+class TestConnectionOwnership:
+    """Each Session owns the one SQLite connection holding its catalog:
+    two Sessions over the same catalog never share a handle, so closing
+    one (or interrupting its query) cannot reach the other."""
+
+    def _sqlite_session(self, db):
+        return Session(
+            db, SQL_CONVENTIONS, options=EvalOptions(backend="sqlite")
+        )
+
+    def test_sessions_over_one_catalog_load_their_own_connection(self, db):
+        first, second = self._sqlite_session(db), self._sqlite_session(db)
+        expected = first.prepare(JOIN).run()
+        assert second.prepare(JOIN).run() == expected
+        assert first.catalog_loads == 1
+        assert second.catalog_loads == 1
+        assert first._connection is not second._connection
+        first.close()
+        # The survivor answers on its own connection, without a reload.
+        assert second.prepare(JOIN).run() == expected
+        assert second.catalog_loads == 1
+        assert second.catalog_hits == 1
+        second.close()
+
+    def test_close_then_run_reloads(self, db):
+        session = self._sqlite_session(db)
+        prepared = session.prepare(JOIN)
+        first = prepared.run()
+        session.close()
+        assert session._connection is None
+        assert session.prepare(JOIN).run() == first
+        assert session.catalog_loads == 2
+        session.close()
 
 
 class TestBackendDispatch:

@@ -39,11 +39,8 @@ def clean_state():
     ``REPRO_FAILPOINTS`` so an env-driven chaos run (the CI matrix) keeps
     its arming for the modules that expect it.
     """
-    from repro.backends.exec import sqlite_exec
-
     failpoints.reset()
     reset_breakers()
-    sqlite_exec.clear_catalog_cache()
     yield
     failpoints.reset()
     reset_breakers()

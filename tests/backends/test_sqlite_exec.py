@@ -5,12 +5,12 @@ import warnings
 
 import pytest
 
+from repro.api import EvalOptions, Session
 from repro.backends.exec import (
     BackendFallbackWarning,
     BackendUnsupported,
     available_backends,
     catalog_fingerprint,
-    clear_catalog_cache,
     connect_catalog,
     get_backend,
     run_backend,
@@ -26,18 +26,14 @@ from repro.data import Database, NULL, Relation, Truth, csvio
 from repro.engine import evaluate
 from repro.errors import EvaluationError
 
+REFERENCE = EvalOptions(planner=False)  # the nested-loop oracle
+SQLITE = EvalOptions(backend="sqlite")
+
 IDENTITY = "{Q(A, B) | ∃r ∈ R[Q.A = r.A ∧ Q.B = r.B]}"
 ANCESTOR = (
     "{A(s, t) | ∃p ∈ P[A.s = p.s ∧ A.t = p.t] ∨ "
     "∃p ∈ P, a2 ∈ A[A.s = p.s ∧ p.t = a2.s ∧ A.t = a2.t]}"
 )
-
-
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    clear_catalog_cache()
-    yield
-    clear_catalog_cache()
 
 
 def _mixed_db():
@@ -53,8 +49,8 @@ def _mixed_db():
 class TestValueMapping:
     def test_round_trip_preserves_types_nulls_and_multiplicity(self):
         db = _mixed_db()
-        result = evaluate(parse(IDENTITY), db, SQL_CONVENTIONS, backend="sqlite")
-        assert result == evaluate(parse(IDENTITY), db, SQL_CONVENTIONS, planner=False)
+        result = evaluate(parse(IDENTITY), db, SQL_CONVENTIONS, options=SQLITE)
+        assert result == evaluate(parse(IDENTITY), db, SQL_CONVENTIONS, options=REFERENCE)
         assert result.multiplicity({"A": 1, "B": 1.5}) == 2
         assert any(r["B"] is NULL for r in result.iter_distinct())
 
@@ -89,21 +85,30 @@ class TestValueMapping:
                 query,
                 db,
                 SQL_CONVENTIONS,
-                backend="sqlite",
-                db_file=str(tmp_path / "c.db"),
+                options=EvalOptions(db_file=str(tmp_path / "c.db")),
             )
-        assert result == evaluate(query, db, SQL_CONVENTIONS, planner=False)
+        assert result == evaluate(query, db, SQL_CONVENTIONS, options=REFERENCE)
+
+
+def _closed(conn):
+    try:
+        conn.execute("select 1")
+    except sqlite3.ProgrammingError:
+        return True
+    return False
 
 
 class TestCatalogCache:
     def test_warm_cache_reuses_the_loaded_connection(self):
-        db = _mixed_db()
-        query = parse(IDENTITY)
-        evaluate(query, db, SQL_CONVENTIONS, backend="sqlite")
-        loads = sqlite_exec.stats["loads"]
-        evaluate(query, db, SQL_CONVENTIONS, backend="sqlite")
-        assert sqlite_exec.stats["loads"] == loads
-        assert sqlite_exec.stats["hits"] >= 1
+        session = Session(_mixed_db(), SQL_CONVENTIONS, options=SQLITE)
+        prepared = session.prepare(parse(IDENTITY))
+        prepared.run()
+        conn = session._connection
+        prepared.run()
+        assert session.catalog_loads == 1
+        assert session.catalog_hits == 1
+        assert session._connection is conn
+        session.close()
 
     def test_equal_catalogs_share_a_fingerprint(self):
         assert catalog_fingerprint(_mixed_db()) == catalog_fingerprint(_mixed_db())
@@ -115,32 +120,63 @@ class TestCatalogCache:
         assert catalog_fingerprint(db) != before
 
     def test_cache_is_bounded(self):
-        for i in range(sqlite_exec._CACHE_LIMIT + 3):
-            db = Database()
-            db.create("R", ("A",), [(i,)])
-            connect_catalog(db)
-        assert len(sqlite_exec._connections) == sqlite_exec._CACHE_LIMIT
+        """A session holds one connection: a new fingerprint closes the
+        connection loaded at the old one."""
+        db = _mixed_db()
+        session = Session(db, SQL_CONVENTIONS, options=SQLITE)
+        prepared = session.prepare(parse(IDENTITY))
+        retired = []
+        for i in range(3):
+            prepared.run()
+            retired.append(session._connection)
+            db["R"].add((i, i))
+        prepared.run()
+        assert session.catalog_loads == 4
+        assert all(_closed(conn) for conn in retired)
+        session.close()
+        assert session._connection is None
+
+    def test_context_less_runs_close_their_connection(self, monkeypatch):
+        opened = []
+        load = sqlite_exec.load_private_catalog
+
+        def recording_load(database):
+            opened.append(load(database))
+            return opened[-1]
+
+        monkeypatch.setattr(sqlite_exec, "load_private_catalog", recording_load)
+        db = _mixed_db()
+        node = parse(IDENTITY)
+        get_backend("sqlite").run(node, db, SQL_CONVENTIONS)
+        evaluate(node, db, SQL_CONVENTIONS, options=SQLITE)
+        assert len(opened) == 2
+        assert all(_closed(conn) for conn in opened)
 
 
 class TestDbFilePersistence:
     def test_file_catalog_reloads_only_on_fingerprint_change(self, tmp_path):
-        path = str(tmp_path / "catalog.db")
         db = _mixed_db()
-        query = parse(IDENTITY)
-        first = evaluate(query, db, SQL_CONVENTIONS, backend="sqlite", db_file=path)
-        loads = sqlite_exec.stats["loads"]
-        # Second call (fresh connection, same file): warm start, no reload.
-        second = evaluate(query, db, SQL_CONVENTIONS, backend="sqlite", db_file=path)
-        assert sqlite_exec.stats["loads"] == loads
+        options = EvalOptions(db_file=str(tmp_path / "catalog.db"))
+
+        def run_in_new_session():
+            with Session(db, SQL_CONVENTIONS, options=options) as session:
+                result = session.prepare(parse(IDENTITY)).run()
+                return result, session.catalog_loads
+
+        first, loads = run_in_new_session()
+        assert loads == 1
+        # A new session (fresh connection, same file) starts warm.
+        second, loads = run_in_new_session()
+        assert loads == 0
         assert first == second
         # The tables really are on disk.
-        conn = sqlite3.connect(path)
+        conn = sqlite3.connect(tmp_path / "catalog.db")
         assert conn.execute("select count(*) from R").fetchone()[0] == 4
         conn.close()
         # Mutation invalidates the stored fingerprint and reloads.
         db["R"].add((8, 8))
-        evaluate(query, db, SQL_CONVENTIONS, backend="sqlite", db_file=path)
-        assert sqlite_exec.stats["loads"] == loads + 1
+        _, loads = run_in_new_session()
+        assert loads == 1
 
 
 class TestCapabilities:
@@ -220,8 +256,8 @@ class TestCapabilities:
         assert get_backend("sqlite").capabilities(query, SQL_CONVENTIONS, db) == []
         with warnings.catch_warnings():
             warnings.simplefilter("error", BackendFallbackWarning)
-            result = evaluate(query, db, SQL_CONVENTIONS, backend="sqlite")
-        assert result == evaluate(query, db, SQL_CONVENTIONS, planner=False)
+            result = evaluate(query, db, SQL_CONVENTIONS, options=SQLITE)
+        assert result == evaluate(query, db, SQL_CONVENTIONS, options=REFERENCE)
 
     def test_non_equality_grouped_lateral_reported_specifically(self):
         # γ-keys + non-equality correlation: no group-by rewrite, no scalar
@@ -297,8 +333,8 @@ class TestCapabilities:
         assert get_backend("sqlite").capabilities(query, SQL_CONVENTIONS, db) == []
         with warnings.catch_warnings():
             warnings.simplefilter("error", BackendFallbackWarning)
-            result = evaluate(query, db, SQL_CONVENTIONS, backend="sqlite")
-        assert result == evaluate(query, db, SQL_CONVENTIONS, planner=False)
+            result = evaluate(query, db, SQL_CONVENTIONS, options=SQLITE)
+        assert result == evaluate(query, db, SQL_CONVENTIONS, options=REFERENCE)
 
     def test_join_annotated_scalar_binding_reported_specifically(self):
         # The renderer never scalar-inlines a binding that is an operand of
@@ -313,8 +349,8 @@ class TestCapabilities:
         problems = get_backend("sqlite").capabilities(query, SQL_CONVENTIONS, db)
         assert any("'x'" in p and "join annotation" in p for p in problems)
         with pytest.warns(BackendFallbackWarning, match="join annotation"):
-            result = evaluate(query, db, SQL_CONVENTIONS, backend="sqlite")
-        assert result == evaluate(query, db, SQL_CONVENTIONS, planner=False)
+            result = evaluate(query, db, SQL_CONVENTIONS, options=SQLITE)
+        assert result == evaluate(query, db, SQL_CONVENTIONS, options=REFERENCE)
 
     def test_probe_honors_the_decorrelate_escape_hatch(self):
         # capabilities(decorrelate=False) must match run(decorrelate=False):
@@ -349,8 +385,8 @@ class TestCapabilities:
             "[s.A < r.A ∧ X.sm = sum(s.B)]}[Q.A = r.A ∧ Q.sm = x.sm]}"
         )
         with pytest.warns(BackendFallbackWarning, match="non-equality") as record:
-            result = evaluate(query, db, SQL_CONVENTIONS, backend="sqlite")
-        assert result == evaluate(query, db, SQL_CONVENTIONS, planner=False)
+            result = evaluate(query, db, SQL_CONVENTIONS, options=SQLITE)
+        assert result == evaluate(query, db, SQL_CONVENTIONS, options=REFERENCE)
         fallback = [
             w.message
             for w in record
@@ -402,7 +438,7 @@ class TestDispatch:
         db = Database()
         db.create("R", ("A", "B"), [(1, 2), (1, 2)])
         with pytest.warns(BackendFallbackWarning):
-            result = evaluate(parse(IDENTITY), db, SET_CONVENTIONS, backend="sqlite")
+            result = evaluate(parse(IDENTITY), db, SET_CONVENTIONS, options=SQLITE)
         assert result == evaluate(parse(IDENTITY), db, SET_CONVENTIONS)
 
     def test_runtime_rejection_falls_back(self):
@@ -415,8 +451,8 @@ class TestDispatch:
             "∃a1 ∈ A, a2 ∈ A[A.s = a1.s ∧ a1.t = a2.s ∧ A.t = a2.t]}"
         )
         with pytest.warns(BackendFallbackWarning, match="recursive"):
-            result = evaluate(nonlinear, db, SQL_CONVENTIONS, backend="sqlite")
-        assert result == evaluate(nonlinear, db, SQL_CONVENTIONS, planner=False)
+            result = evaluate(nonlinear, db, SQL_CONVENTIONS, options=SQLITE)
+        assert result == evaluate(nonlinear, db, SQL_CONVENTIONS, options=REFERENCE)
 
     def test_sentence_returns_truth(self):
         db = Database()
@@ -430,7 +466,7 @@ class TestDispatch:
                 parse("∃r ∈ R[∃s ∈ S[s.A = r.A]]"),
                 db,
                 SQL_CONVENTIONS,
-                backend="sqlite",
+                options=SQLITE,
             )
         assert result is Truth.TRUE
 

@@ -14,7 +14,7 @@ environment's configuration afterwards.
 
 import pytest
 
-from repro.backends.exec import reset_breakers, sqlite_exec
+from repro.backends.exec import reset_breakers
 from repro.eval.harness import report_failures, run_scenario
 from repro.util import failpoints
 
@@ -33,11 +33,9 @@ def clean_fault_state():
     # Arm nothing on entry; restore whatever the environment configured on
     # exit so this module composes with CI's REPRO_FAILPOINTS matrix.
     reset_breakers()
-    sqlite_exec.clear_catalog_cache()
     yield
     failpoints.load_env()
     reset_breakers()
-    sqlite_exec.clear_catalog_cache()
 
 
 def _assert_invariant(report):

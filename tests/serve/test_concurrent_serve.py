@@ -18,7 +18,7 @@ import pytest
 import repro
 from repro.api import EvalOptions, Session
 from repro.api.serve import make_server
-from repro.backends.exec import reset_breakers, sqlite_exec
+from repro.backends.exec import reset_breakers
 from repro.core.conventions import SET_CONVENTIONS
 
 SIMPLE = "{Q(x) | ∃p ∈ P[Q.x = p.x]}"
@@ -30,7 +30,6 @@ RUNAWAY = "{T(x) | ∃p ∈ P[T.x = p.x] ∨ ∃t ∈ T[T.x = t.x + 1]}"
 @pytest.fixture(autouse=True)
 def clean_state():
     reset_breakers()
-    sqlite_exec.clear_catalog_cache()
     yield
     reset_breakers()
 

@@ -1,8 +1,8 @@
 """Unit tests for the worker-pool subsystem (no HTTP involved).
 
 Covers the pieces ``repro serve`` composes: futures, the coalescer's
-single-leader guarantee, session factories and private connections, the
-per-worker session LRU (eviction closes SQLite connections), and the
+single-leader guarantee, session factories and per-session connections,
+the per-worker session LRU (eviction closes SQLite connections), and the
 pool's admission / drain state machine.
 """
 
@@ -14,7 +14,6 @@ import pytest
 
 import repro
 from repro.api import EvalOptions, Session
-from repro.backends.exec import sqlite_exec
 from repro.core.conventions import SQL_CONVENTIONS
 from repro.serve import (
     AdmissionError,
@@ -38,13 +37,6 @@ def _factory(catalogs=None, **options):
     return SessionFactory(
         catalogs, SQL_CONVENTIONS, options=EvalOptions(**options)
     )
-
-
-@pytest.fixture(autouse=True)
-def clean_cache():
-    sqlite_exec.clear_catalog_cache()
-    yield
-    sqlite_exec.clear_catalog_cache()
 
 
 class TestFuture:
@@ -116,13 +108,10 @@ class TestSessionFactory:
         factory = _factory(backend="sqlite")
         first, second = factory.build(), factory.build()
         assert first is not second
-        assert first.private_connections and second.private_connections
-        # Private connections: each session executes on its own handle.
+        # Each session executes on its own handle.
         first.prepare(QUERY).run()
         second.prepare(QUERY).run()
-        conn_a = next(iter(first._connections.values()))
-        conn_b = next(iter(second._connections.values()))
-        assert conn_a is not conn_b
+        assert first._connection is not second._connection
         first.close()
         second.close()
 
@@ -155,20 +144,18 @@ class TestSessionClose:
     def test_close_closes_private_connections(self):
         session = Session(
             _db(), SQL_CONVENTIONS, options=EvalOptions(backend="sqlite"),
-            private_connections=True,
         )
         session.prepare(QUERY).run()
         assert session.catalog_loads == 1
-        conn = next(iter(session._connections.values()))
+        conn = session._connection
         session.close()
-        assert not session._connections
+        assert session._connection is None
         with pytest.raises(sqlite3.ProgrammingError):
             conn.execute("select 1")
 
     def test_private_reuse_counts_hits(self):
         session = Session(
             _db(), SQL_CONVENTIONS, options=EvalOptions(backend="sqlite"),
-            private_connections=True,
         )
         prepared = session.prepare(QUERY)
         prepared.run()
@@ -176,17 +163,6 @@ class TestSessionClose:
         assert session.catalog_loads == 1
         assert session.catalog_hits == 1
         session.close()
-
-    def test_shared_cache_untouched_by_private_sessions(self):
-        before = dict(sqlite_exec.stats)
-        session = Session(
-            _db(), SQL_CONVENTIONS, options=EvalOptions(backend="sqlite"),
-            private_connections=True,
-        )
-        session.prepare(QUERY).run()
-        session.close()
-        assert len(sqlite_exec._connections) == 0
-        assert sqlite_exec.stats["hits"] == before["hits"]
 
 
 class TestWorkerPool:
@@ -282,7 +258,7 @@ class TestWorkerPool:
                 def job(worker):
                     session = worker.session_for(catalog)
                     rows = session.prepare(QUERY).run().sorted_rows()
-                    return session, next(iter(session._connections.values())), rows
+                    return session, session._connection, rows
 
                 return pool.submit(job).wait(10)
 
@@ -291,7 +267,7 @@ class TestWorkerPool:
             run_on("gamma")  # evicts "default" (limit 2)
             assert [row["x"] for row in rows_a] == [1]
             assert pool.sessions_evicted == 1
-            assert not session_a._connections
+            assert session_a._connection is None
             with pytest.raises(sqlite3.ProgrammingError):
                 conn_a.execute("select 1")
             # Re-requesting the evicted catalog rebuilds it correctly.
@@ -301,17 +277,25 @@ class TestWorkerPool:
         finally:
             pool.drain()
 
-    def test_adopted_session_serves_worker_zero(self):
-        db = _db()
-        session = Session(db, SQL_CONVENTIONS, options=EvalOptions())
+    def test_caller_session_only_supplies_defaults(self):
+        """Workers build their own Sessions from the caller's; the caller's
+        Session never executes pool work, so eviction, respawn and drain
+        cannot close it."""
+        session = Session(
+            _db(), SQL_CONVENTIONS, options=EvalOptions(backend="sqlite")
+        )
         pool = WorkerPool(
-            SessionFactory.from_session(session), workers=1, adopt=session
+            SessionFactory.from_session(session), workers=1, session_limit=1
         )
         try:
             got = pool.submit(lambda worker: worker.session_for()).wait(10)
-            assert got is session
+            assert got is not session
+            assert got.database is session.database
+            assert got.options is session.options
         finally:
             pool.drain()
+        assert session.prepare(QUERY).run().sorted_rows()[0]["x"] == 1
+        assert session.catalog_loads == 1
 
     def test_submit_supervision_kwargs_default_to_the_old_behavior(self):
         """``timeout_ms`` / ``fingerprint`` / ``cancel`` are all optional;

@@ -33,7 +33,7 @@ import pytest
 import repro
 from repro.api import EvalOptions, Session
 from repro.api.serve import make_server
-from repro.backends.exec import reset_breakers, sqlite_exec
+from repro.backends.exec import reset_breakers
 from repro.core.conventions import SET_CONVENTIONS, SQL_CONVENTIONS
 from repro.errors import PoisonQuery, WorkerCrash
 from repro.serve import Quarantine, SessionFactory, WorkerPool, poison_fingerprint
@@ -48,7 +48,6 @@ RUNAWAY = "{T(x) | ∃p ∈ P[T.x = p.x] ∨ ∃t ∈ T[T.x = t.x + 1]}"
 def clean_state():
     failpoints.reset()
     reset_breakers()
-    sqlite_exec.clear_catalog_cache()
     yield
     failpoints.reset()
     reset_breakers()

@@ -1,28 +1,32 @@
 """Concurrent hammer tests for state the worker pool shares.
 
 The thread-safety audit for concurrent serving: every shared structure —
-metrics counters/histograms, registry get-or-create, circuit breakers,
-the SQLite fingerprint-cache — is hit from many threads at once and must
-come out exact (no lost increments) and uncorrupted.  Relation warm
-caches (``index_on``, ``derived_put``) need no lock: they publish fully
-built values through single atomic dict stores, and concurrent readers
-see either nothing (rebuild) or the complete value — that CAS-safe path
-is documented in ``data/relation.py`` and exercised end-to-end by the
-HTTP concurrency tests.
+metrics counters/histograms, registry get-or-create, circuit breakers —
+is hit from many threads at once and must come out exact (no lost
+increments) and uncorrupted.  SQLite connections are not shared at all:
+each Session owns its own, which the Session-per-thread test pins.
+Relation warm caches (``index_on``, ``derived_put``) need no lock: they
+publish fully built values through single atomic dict stores, and
+concurrent readers see either nothing (rebuild) or the complete value —
+that CAS-safe path is documented in ``data/relation.py`` and exercised
+end-to-end by the HTTP concurrency tests.
 """
 
+import sys
 import threading
 import time
 
 import pytest
 
 import repro
-from repro.backends.exec import breaker_for, reset_breakers, sqlite_exec
+from repro.api import EvalOptions, Session
+from repro.backends.exec import breaker_for, reset_breakers
 from repro.backends.exec.registry import CircuitBreaker
 from repro.obs import MetricsRegistry
 from repro.serve import WorkerPool
 from repro.serve.pool import SessionFactory
 from repro.core.conventions import SQL_CONVENTIONS
+from repro.util.deadline import CancelToken
 
 THREADS = 8
 ROUNDS = 5000
@@ -163,26 +167,69 @@ class TestBreakerUnderContention:
             reset_breakers()
 
 
-class TestSqliteCacheUnderContention:
-    def test_concurrent_connects_converge_on_one_cached_connection(self):
-        sqlite_exec.clear_catalog_cache()
+class TestSessionsOnThreads:
+    def test_default_sessions_over_one_catalog_never_interfere(
+        self, monkeypatch
+    ):
+        """One default Session per thread over one catalog, alternating
+        armed runs (deadline + cancel token: progress handler and
+        interrupt hook installed) with unarmed ones.  A connection shared
+        between Sessions would let one run's handler teardown or cursor
+        reach another's query; owned connections answer every run
+        natively and oracle-equal."""
         db = repro.Database()
-        db.create("P", ("x",), [(1,), (2,)])
-        conns = []
+        db.create("P", ("x", "y"), [(i, i % 7) for i in range(120)])
+        query = "{Q(x) | ∃p ∈ P, q ∈ P[Q.x = p.x ∧ p.y = q.y ∧ q.x < 40]}"
+        expected = Session(
+            db, SQL_CONVENTIONS, options=EvalOptions(planner=False)
+        ).prepare(query).run()
+        reset_breakers()
+        failures = []
+        record_failure = CircuitBreaker.record_failure
+
+        def counting_failure(breaker):
+            failures.append(breaker.name)
+            return record_failure(breaker)
+
+        monkeypatch.setattr(CircuitBreaker, "record_failure", counting_failure)
+        problems = []
         lock = threading.Lock()
 
-        def connect(index):
-            conn = sqlite_exec.connect_catalog(db)
-            with lock:
-                conns.append(conn)
+        def run(index):
+            options = EvalOptions(backend="sqlite")
+            with Session(db, SQL_CONVENTIONS, options=options) as session:
+                prepared = session.prepare(query)
+                for round_no in range(20):
+                    try:
+                        if (index + round_no) % 2:
+                            info = prepared.run_info(
+                                timeout_ms=60_000, cancel=CancelToken()
+                            )
+                        else:
+                            info = prepared.run_info()
+                        ok = (
+                            info["result"] == expected
+                            and not info["fallback_reasons"]
+                        )
+                        problem = None if ok else info["fallback_reasons"]
+                    except Exception as exc:  # noqa: BLE001 - reported below
+                        problem = repr(exc)
+                    if problem is not None:
+                        with lock:
+                            problems.append((index, round_no, problem))
+                if session.catalog_loads != 1:
+                    with lock:
+                        problems.append((index, "loads", session.catalog_loads))
 
-        _hammer(connect)
-        assert len({id(conn) for conn in conns}) == 1
-        assert len(sqlite_exec._connections) == 1
-        # The surviving connection works (redundant loaders were closed,
-        # the published one was not).
-        assert conns[0].execute("select count(*) from P").fetchone() == (2,)
-        sqlite_exec.clear_catalog_cache()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # force thread switches mid-run
+        try:
+            _hammer(run)
+        finally:
+            sys.setswitchinterval(interval)
+            reset_breakers()
+        assert problems == []
+        assert failures == []
 
 
 class TestFailpointsUnderContention:
@@ -220,8 +267,6 @@ class TestFailpointsUnderContention:
 
 class TestPoolAdmissionUnderContention:
     def test_no_future_is_lost_under_submit_storms(self):
-        from repro.api import EvalOptions
-
         db = repro.Database()
         db.create("P", ("x",), [(1,)])
         factory = SessionFactory(
