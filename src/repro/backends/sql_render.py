@@ -28,14 +28,21 @@ inlined as per-attribute *correlated scalar subqueries* (the paper's
 Fig. 5a/13a device, :func:`scalar_subquery_shape`) — a γ∅ scope emits
 exactly one row per outer row, which is precisely a scalar subquery's
 contract (including ``count`` over an empty group, where the group-by
-rewrite would hit the count bug).  The device is operator-agnostic: an
-eq15-shaped θ correlation (``s.a < r.a``) renders as the same scalar
-subquery with the inequality in its WHERE clause, and the FOI → FIO pass
-(:mod:`repro.engine.decorrelate`) turns non-grouped θ laterals that
-resist unnesting into uncorrelated derived tables joined back through the
-projected band key with the original inequality.  Together these keep
-every equality-, θ-, or aggregate-correlated paper workload executable on
-engines without LATERAL.
+rewrite would hit the count bug).  The device is operator-agnostic: for
+readers, an eq15-shaped θ correlation (``s.a < r.a``) renders as the same
+FOI scalar subquery with the inequality in its WHERE clause.  On the
+execution path the FOI → FIO pass (:mod:`repro.engine.decorrelate`) marks
+such γ∅ θ bands as :class:`~repro.engine.decorrelate.BandSweep` bindings,
+which render in FIO form: one ``materialized`` CTE per band runs a sorted
+window sweep (``agg(arg) OVER (PARTITION BY keys ORDER BY band, kind ROWS
+UNBOUNDED PRECEDING)``) over the distinct outer (keys, band) values and
+the inner rows, and each outer row reads its aggregate through an
+equality probe that SQLite serves from an automatic index — one pass
+instead of one inner scan per outer row.  The same pass turns non-grouped
+θ laterals that resist unnesting into uncorrelated derived tables joined
+back through the projected band key with the original inequality.
+Together these keep every equality-, θ-, or aggregate-correlated paper
+workload executable on engines without LATERAL.
 
 The produced text parses back through :mod:`repro.frontends.sql` for the
 non-recursive fragment, enabling round-trip testing, and executes on the
@@ -53,19 +60,33 @@ from ..core.scopes import (  # noqa: F401  (re-exported for compatibility)
     split_scope,
 )
 from ..data.values import is_null
+from ..engine.decorrelate import BandSweep, analyze, sweep_domain
 from ..errors import RewriteError
+
+
+def _indent(text, width):
+    """Indent every line of *text* but the first by *width* spaces."""
+    return ("\n" + " " * width).join(text.splitlines())
 
 
 def to_sql(node, *, pretty=True):
     """Render an ARC Collection, Sentence, or Program as SQL text."""
-    renderer = _SqlRenderer()
+    renderer = _SqlRenderer(node)
+    ctes, recursive = [], False
     if isinstance(node, n.Program):
-        return renderer.render_program(node)
-    if isinstance(node, n.Collection):
-        return renderer.render_collection(node)
-    if isinstance(node, n.Sentence):
-        return renderer.render_sentence(node)
-    raise RewriteError(f"cannot render {type(node).__name__} as SQL")
+        ctes, recursive, sql = renderer.render_program(node)
+    elif isinstance(node, n.Collection):
+        sql = renderer.render_collection(node)
+    elif isinstance(node, n.Sentence):
+        sql = renderer.render_sentence(node)
+    else:
+        raise RewriteError(f"cannot render {type(node).__name__} as SQL")
+    # Sweeps read stored relations only, so they may precede definitions.
+    ctes = renderer.sweeps + ctes
+    if not ctes:
+        return sql
+    keyword = "with recursive" if recursive else "with"
+    return f"{keyword} " + ",\n".join(ctes) + f"\n{sql}"
 
 
 def scalar_inlinable(quant, binding):
@@ -90,15 +111,20 @@ def scalar_inlinable(quant, binding):
 
 
 class _SqlRenderer:
-    def __init__(self):
+    def __init__(self, root):
+        self._root = root
         #: Active scalar-subquery substitutions: (var, attr) -> SQL text.
         self._scalar = {}
+        #: ``name as materialized (...)`` CTEs of the rendered band sweeps.
+        self.sweeps = []
+        self._taken = None  # lowercased names the CTE names must avoid
 
     # -- programs ------------------------------------------------------------
 
     def render_program(self, program):
+        """``(definition CTEs, recursive?, main select)`` of *program*."""
         if not program.definitions:
-            return self.render_collection(program.resolve_main())
+            return [], False, self.render_collection(program.resolve_main())
         ctes = []
         recursive = False
         for name, definition in program.definitions.items():
@@ -117,8 +143,7 @@ class _SqlRenderer:
             main_sql = self.render_sentence(main)
         else:
             main_sql = self.render_collection(main)
-        keyword = "with recursive" if recursive else "with"
-        return f"{keyword} " + ",\n".join(ctes) + f"\n{main_sql}"
+        return ctes, recursive, main_sql
 
     @staticmethod
     def _is_recursive(name, definition):
@@ -238,10 +263,13 @@ class _SqlRenderer:
                 if scalar_inlinable(quant, binding) is not None:
                     continue
                 self._scalar = {**saved, **substitutions}
-                for attr in source.head.attrs:
-                    substitutions[(binding.var, attr)] = (
-                        self._render_scalar_subquery(source, attr)
-                    )
+                if isinstance(source, BandSweep):
+                    substitutions.update(self._render_sweep_probes(quant, binding))
+                else:
+                    for attr in source.head.attrs:
+                        substitutions[(binding.var, attr)] = (
+                            self._render_scalar_subquery(source, attr)
+                        )
                 eliminated.add(id(binding))
         finally:
             self._scalar = saved
@@ -265,6 +293,134 @@ class _SqlRenderer:
             sub += "\nwhere " + " and ".join(where)
         indented = "\n   ".join(sub.splitlines())
         return f"(\n   {indented})"
+
+    # -- γ∅ θ-band sweeps -------------------------------------------------------
+
+    def _render_sweep_probes(self, quant, binding):
+        """Equality probes into the sweep CTE: ``{(var, attr): SQL text}``.
+
+        The sweep (FIO) holds one row per distinct outer (keys, band) value
+        with every aggregate already folded, so each outer row reads its
+        value with an equality lookup, which SQLite serves from an automatic
+        index on the materialized CTE.  A NULL outer key or band matches no
+        row: the scalar is NULL, and ``count`` is coalesced to 0.
+        """
+        spec = analyze(binding.source)
+        name, columns = self._sweep_cte(quant, binding, spec)
+        where = " and ".join(
+            f"{name}.{col} = {self._render_expr(outer)}"
+            for col, outer in zip(
+                columns, (*spec.outer_exprs, spec.band_outer_expr)
+            )
+        )
+        probes = {}
+        for attr, func, _ in spec.band_aggs:
+            probe = f"(\n   select {name}.{attr}\n   from {name}\n   where {where})"
+            if func == "count":
+                probe = f"coalesce({probe}, 0)"
+            probes[(binding.var, attr)] = probe
+        return probes
+
+    def _sweep_cte(self, quant, binding, spec):
+        """Register the sweep CTE for *binding*: ``(name, probe columns)``.
+
+        ``agg(arg) OVER (PARTITION BY keys ORDER BY band, kind ROWS
+        UNBOUNDED PRECEDING)`` over the distinct outer (keys, band) values
+        ``UNION ALL`` the inner rows whose keys and band are not NULL.  The
+        outer rows carry NULL arguments, so each one's running aggregate
+        folds exactly the inner rows that sort before it: ``kind`` puts the
+        outer rows first among equal bands for the strict ``<``/``>`` and
+        last for ``<=``/``>=``, and ``>``/``>=`` sort descending.
+        """
+        taken = set(spec.head_attrs) | set(spec.key_attrs)
+
+        def fresh(stem):
+            counter = 0
+            while f"{stem}{counter}" in taken:
+                counter += 1
+            taken.add(f"{stem}{counter}")
+            return f"{stem}{counter}"
+
+        band_col, kind_col = fresh("_cb"), fresh("_ct")
+        arg_cols = [fresh("_ca") for _ in spec.band_aggs]
+        columns = (*spec.key_attrs, band_col)
+        outer_exprs = (*spec.outer_exprs, spec.band_outer_expr)
+        inner_exprs = (*spec.key_inner_exprs, spec.band_inner_expr)
+        outer_kind = 0 if spec.band_op in ("<", ">") else 2
+        bindings, rows = spec.stripped
+        saved = self._scalar
+        self._scalar = {}  # the CTE is rendered at the top of the statement
+        try:
+            outer_items = [
+                f"{self._render_expr(expr)} as {col}"
+                for col, expr in zip(columns, outer_exprs)
+            ]
+            outer_items.append(f"{outer_kind} as {kind_col}")
+            outer_items += [f"null as {col}" for col in arg_cols]
+            outer_sql = (
+                f"select distinct {', '.join(outer_items)}\n"
+                f"from {self._render_binding(sweep_domain(quant, binding))}\n"
+                "where " + " and ".join(
+                    f"{self._render_expr(expr)} is not null" for expr in outer_exprs
+                )
+            )
+            inner_items = [self._render_expr(expr) for expr in inner_exprs]
+            inner_items.append("1")
+            inner_items += [
+                "1" if arg is None else self._render_expr(arg)
+                for _, _, arg in spec.band_aggs
+            ]
+            from_sql, _ = self._render_from(n.Quantifier(list(bindings)))
+            where = [self._render_formula(row) for row in rows]
+            where += [f"{self._render_expr(expr)} is not null" for expr in inner_exprs]
+            inner_sql = (
+                f"select {', '.join(inner_items)}\nfrom {from_sql}\n"
+                "where " + " and ".join(where)
+            )
+        finally:
+            self._scalar = saved
+
+        partition = (
+            f"partition by {', '.join(spec.key_attrs)} " if spec.key_attrs else ""
+        )
+        descending = " desc" if spec.band_op in (">", ">=") else ""
+        folds = ", ".join(
+            f"{func}({col}) over _w as {attr}"
+            for (attr, func, _), col in zip(spec.band_aggs, arg_cols)
+        )
+        union = _indent(f"{outer_sql}\nunion all\n{inner_sql}", 3)
+        sweep = (
+            f"select {', '.join(columns)}, {kind_col}, {folds}\n"
+            f"from (\n   {union})\n"
+            f"window _w as ({partition}order by {band_col}{descending}, "
+            f"{kind_col} rows unbounded preceding)"
+        )
+        attrs = ", ".join(attr for attr, _, _ in spec.band_aggs)
+        name = self._fresh_cte_name()
+        self.sweeps.append(
+            f"{name} as materialized (\n"
+            f"   select {', '.join(columns)}, {attrs}\n"
+            f"   from (\n      {_indent(sweep, 6)})\n"
+            f"   where {kind_col} <> 1\n)"
+        )
+        return name, columns
+
+    def _fresh_cte_name(self):
+        """A CTE name no relation, variable or head in the statement uses."""
+        if self._taken is None:
+            self._taken = set()
+            for sub in self._root.walk():
+                if isinstance(sub, n.RelationRef):
+                    self._taken.add(sub.name.lower())
+                elif isinstance(sub, n.Binding):
+                    self._taken.add(sub.var.lower())
+                elif isinstance(sub, n.Head):
+                    self._taken.add(sub.name.lower())
+        counter = len(self.sweeps)
+        while f"_sweep{counter}" in self._taken:
+            counter += 1
+        self._taken.add(f"_sweep{counter}")
+        return f"_sweep{counter}"
 
     @staticmethod
     def _split_scope(head, quant):

@@ -37,10 +37,16 @@ outer row.  This module rewrites FOI plans into FIO at two levels:
   — SQLite — execute them natively), non-grouped correlated collections are
   *unnested* into the outer scope, and non-grouped θ-correlated collections
   that resist unnesting become uncorrelated derived tables joined through
-  the *inequality* key (the band shape's native SQL rendering).  γ∅
-  aggregate-only scopes — any correlation operator, including θ — are left
-  to the renderer's correlated-scalar-subquery device
-  (:func:`repro.core.scopes.scalar_subquery_shape`).
+  the *inequality* key (the band shape's native SQL rendering).  γ∅ θ-band
+  scopes whose outer operands read one stored relation of the same scope
+  become :class:`BandSweep` bindings — the FIO form, which the renderer
+  executes as one sorted window sweep over the outer (keys, band) domain
+  and the inner rows, probed per outer row by equality.  The other γ∅
+  aggregate-only scopes are left to the renderer's FOI
+  correlated-scalar-subquery device
+  (:func:`repro.core.scopes.scalar_subquery_shape`).  Only execution
+  rewrites: ``to_sql`` of an un-rewritten query still prints every γ∅
+  scope, θ bands included, as the readable FOI scalar subquery.
 
 Two further refinements close the remaining per-row tails:
 
@@ -929,9 +935,11 @@ def rewrite_for_sql(node):
     uncorrelated derived tables joined through the projected band key with
     the original inequality (the band shape's native rendering).  γ∅ scopes
     are never group-by-rewritten (the count bug: an empty group must still
-    emit a row); the aggregate-only ones — including θ-correlated bands —
-    render as correlated scalar subqueries instead, which SQLite executes
-    natively.
+    emit a row).  γ∅ θ bands with a :func:`sweep_domain` become
+    :class:`BandSweep` bindings, which execute as one sorted window sweep
+    (FIO) instead of one inner scan per outer row; the other aggregate-only
+    γ∅ scopes render as correlated scalar subqueries (FOI).  SQLite
+    executes both natively.
 
     *leftovers* lists ``(var, reason)`` for bindings that remain correlated
     and will need the ``lateral`` keyword — the backend's capability probe
@@ -940,7 +948,16 @@ def rewrite_for_sql(node):
     cached = _SQL_REWRITES.get(node)
     if cached is None:
         leftovers = []
-        rewritten = n.transform(node, lambda sub: _fix_quantifier(sub, leftovers))
+        # A sweep is hoisted into the statement's WITH clause, so it may only
+        # read stored relations, never a (possibly recursive) definition.
+        defined = (
+            frozenset(node.definitions)
+            if isinstance(node, n.Program)
+            else frozenset()
+        )
+        rewritten = n.transform(
+            node, lambda sub: _fix_quantifier(sub, leftovers, defined)
+        )
         cached = (rewritten, tuple(leftovers))
         _SQL_REWRITES[node] = cached
     return cached
@@ -963,13 +980,48 @@ def _fio_join_conjuncts(spec, var):
     return extra
 
 
-def _fix_quantifier(node, leftovers):
+class BandSweep(n.Collection):
+    """A γ∅ θ-band lateral that SQL execution lowers to a sorted window sweep.
+
+    :func:`rewrite_for_sql` swaps it in for the collection it was.  It keeps
+    that collection's head and body, so the evaluator, tree walks and the
+    text modalities see the same FOI scope; only the SQL renderer reads the
+    type, and renders the FIO sweep from :func:`analyze` and
+    :func:`sweep_domain` instead of one correlated scalar subquery.
+    """
+
+
+def sweep_domain(quant, binding):
+    """The outer binding a γ∅ θ-band lateral can sweep over, or None.
+
+    The sweep enumerates the distinct outer (keys, band) values, so every
+    outer operand of the correlation must read one variable, bound to a
+    relation earlier in the same scope.
+    """
+    spec = analyze(binding.source)
+    if spec.reason is not None or spec.strategy != "band" or not spec.empty_group:
+        return None
+    used = set()
+    for expr in (*spec.outer_exprs, spec.band_outer_expr):
+        used |= n.vars_used(expr)
+    if len(used) != 1:
+        return None
+    (var,) = used
+    position = quant.bindings.index(binding)
+    for earlier in reversed(quant.bindings[:position]):
+        if earlier.var == var:
+            return earlier if isinstance(earlier.source, n.RelationRef) else None
+    return None
+
+
+def _fix_quantifier(node, leftovers, defined):
     if not isinstance(node, n.Quantifier):
         return node
     bindings = list(node.bindings)
     extra = []  # join conjuncts added by FIO rewrites
     substitutions = {}  # (var, attr) -> replacement expr, from unnesting
     spliced = False
+    swept = False
     out = []
     for binding in bindings:
         source = binding.source
@@ -998,6 +1050,15 @@ def _fix_quantifier(node, leftovers):
             continue
         scalar_reason = _scalar_inlinable(node, binding)
         if scalar_reason is None:
+            domain = sweep_domain(node, binding)
+            if domain is not None and not defined & {
+                domain.source.name, *spec.relation_names
+            }:
+                # FIO on SQL: one window sweep probed per outer row.
+                sweep = BandSweep(source.head, source.body)
+                out.append(n.Binding(binding.var, sweep))
+                swept = True
+                continue
             out.append(binding)  # the renderer inlines it as scalar subqueries
             continue
         if (
@@ -1022,7 +1083,7 @@ def _fix_quantifier(node, leftovers):
             )
         )
         out.append(binding)
-    if not extra and not spliced:
+    if not extra and not spliced and not swept:
         return node
     body = n.make_and(n.conjuncts(node.body) + extra)
     rebuilt = n.Quantifier(out, body, node.grouping, node.join)

@@ -192,8 +192,9 @@ def theta_aggregate_query(*, op="<", agg="sum", eq_arity=0, head_name="Q"):
     [Q.k = r.misc ∧ Q.v = x.v]}``
 
     *op* is the correlation's order predicate; *eq_arity* adds equality
-    keys alongside it (bucketed band indexes).  ``Q.k = r.misc`` keys the
-    output per outer row, so every probe result is observable.
+    keys alongside it (bucketed band indexes); ``agg="count(*)"`` counts
+    rows instead of ``s.B`` values.  ``Q.k = r.misc`` keys the output per
+    outer row, so every probe result is observable.
     """
     key_attrs = [f"K{i}" for i in range(eq_arity)]
     inner_conjuncts = [
@@ -202,9 +203,8 @@ def theta_aggregate_query(*, op="<", agg="sum", eq_arity=0, head_name="Q"):
     inner_conjuncts.append(
         n.Comparison(n.Attr("s", "A"), op, n.Attr("r", "A"))
     )
-    inner_conjuncts.append(
-        n.Comparison(n.Attr("X", "v"), "=", b.agg(agg, b.attr2("s", "B")))
-    )
+    call = b.count() if agg == "count(*)" else b.agg(agg, b.attr2("s", "B"))
+    inner_conjuncts.append(n.Comparison(n.Attr("X", "v"), "=", call))
     inner = b.collection(
         "X",
         ["v"],

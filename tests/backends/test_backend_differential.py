@@ -192,30 +192,55 @@ def test_correlated_lateral_null_keys_three_way():
         assert_three_way(query, db, SQL_CONVENTIONS, expect_native=True)
 
 
+def _with_duplicate_inner_rows(db):
+    """*db* with every third S row stored twice (bag duplicates)."""
+    rows = [tuple(row[attr] for attr in db["S"].schema) for row in db["S"]]
+    db.create("S", db["S"].schema, rows + rows[::3])
+    return db
+
+
 def test_theta_correlated_family_three_way():
-    """Seeded θ-band family (E27): reference ≡ planner ≡ per-row ≡ sqlite,
-    natively — γ∅ θ aggregates render as correlated scalar subqueries and
-    the non-grouped slice shape unnests, so SQLite needs no LATERAL."""
-    rng = random.Random(8128)
-    for trial in range(8):
-        op = rng.choice(["<", "<=", ">", ">="])
-        eq_arity = rng.choice([0, 0, 1])
-        db = sweeps.theta_sweep_database(
-            rng.randint(0, 20),
-            rng.randint(0, 30),
-            eq_arity=eq_arity,
-            seed=trial,
-            null_rate=rng.choice([0.0, 0.0, 0.3]),
-            null_band_rate=rng.choice([0.0, 0.25]),
-        )
-        if trial % 3 == 2:
-            query = sweeps.theta_rows_query(op=op)
-        else:
-            query = sweeps.theta_aggregate_query(
-                op=op, agg=rng.choice(["sum", "count", "avg", "min", "max"]),
-                eq_arity=eq_arity,
+    """The θ-band grid (E27): every op × {sum, count, count(*), avg, min,
+    max} × equality arity {0, 1}, reference ≡ planner ≡ per-row ≡ sqlite,
+    natively — SQLite runs the γ∅ shapes as one window sweep and the
+    non-grouped slice shape unnested, so it needs no LATERAL.  A 3-value
+    band domain forces ties at every boundary; duplicate inner rows and
+    NULL keys and bands ride along; empty inner and outer relations and
+    the join-inner shape close the grid."""
+    for eq_arity in (0, 1):
+        db = _with_duplicate_inner_rows(
+            sweeps.theta_sweep_database(
+                14, 18, eq_arity=eq_arity, domain=3, band_domain=3,
+                seed=eq_arity, null_rate=0.2, null_band_rate=0.15,
             )
-        assert_three_way(query, db, SQL_CONVENTIONS, expect_native=True)
+        )
+        for op in ("<", "<=", ">", ">="):
+            for agg in ("sum", "count", "count(*)", "avg", "min", "max"):
+                query = sweeps.theta_aggregate_query(
+                    op=op, agg=agg, eq_arity=eq_arity
+                )
+                assert_three_way(query, db, SQL_CONVENTIONS, expect_native=True)
+    for op in ("<", "<=", ">", ">="):
+        db = sweeps.theta_sweep_database(12, 16, band_domain=4, seed=5)
+        assert_three_way(
+            sweeps.theta_rows_query(op=op), db, SQL_CONVENTIONS,
+            expect_native=True,
+        )
+        for empty in ("R", "S"):
+            db = sweeps.theta_sweep_database(6, 6, eq_arity=1, seed=7)
+            db.create(empty, db[empty].schema, [])
+            for agg in ("sum", "count(*)"):
+                query = sweeps.theta_aggregate_query(
+                    op=op, agg=agg, eq_arity=1
+                )
+                assert_three_way(query, db, SQL_CONVENTIONS, expect_native=True)
+        db = sweeps.theta_sweep_database(
+            12, 16, band_domain=4, seed=6, with_join=True
+        )
+        assert_three_way(
+            sweeps.theta_join_aggregate_query(op=op), db, SQL_CONVENTIONS,
+            expect_native=True,
+        )
 
 
 def test_theta_join_inner_three_way():

@@ -16,6 +16,7 @@ from repro.backends.exec import (
     run_backend,
 )
 from repro.backends.exec import sqlite_exec
+from repro.backends.sql_render import to_sql
 from repro.core.conventions import (
     SET_CONVENTIONS,
     SOUFFLE_CONVENTIONS,
@@ -25,6 +26,7 @@ from repro.core.parser import parse
 from repro.data import Database, NULL, Relation, Truth, csvio
 from repro.engine import evaluate
 from repro.errors import EvaluationError
+from repro.workloads import sweeps
 
 REFERENCE = EvalOptions(planner=False)  # the nested-loop oracle
 SQLITE = EvalOptions(backend="sqlite")
@@ -258,6 +260,34 @@ class TestCapabilities:
             warnings.simplefilter("error", BackendFallbackWarning)
             result = evaluate(query, db, SQL_CONVENTIONS, options=SQLITE)
         assert result == evaluate(query, db, SQL_CONVENTIONS, options=REFERENCE)
+
+    def test_gamma_theta_band_runs_as_a_linear_sweep(self):
+        # The eq15 γ∅ θ aggregate executes as one sorted window sweep, not a
+        # scalar subquery that rescans S per outer row: the SQLite VM work
+        # (progress callbacks every 100 instructions, deterministic) grows
+        # ~4× from n=200 to n=800, where the correlated form grows ~16×.
+        query = sweeps.theta_aggregate_query(op="<", agg="sum")
+
+        def vm_steps(n_rows):
+            db = sweeps.theta_sweep_database(
+                n_rows, n_rows, band_domain=n_rows, seed=2
+            )
+            _, sql = sqlite_exec.compile_sql(query, db)
+            conn = sqlite_exec.load_private_catalog(db)
+            steps = []
+            conn.set_progress_handler(lambda: steps.append(1), 100)
+            try:
+                conn.execute(sql).fetchall()
+            finally:
+                conn.close()
+            return len(steps)
+
+        small, large = vm_steps(200), vm_steps(800)
+        assert large <= 6 * small, (small, large)
+        # Readers keep the FOI form: the un-rewritten query still prints
+        # the correlated scalar subquery.
+        text = to_sql(query)
+        assert "where s.A < r.A" in text and "over" not in text
 
     def test_non_equality_grouped_lateral_reported_specifically(self):
         # γ-keys + non-equality correlation: no group-by rewrite, no scalar

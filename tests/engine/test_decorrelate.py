@@ -12,9 +12,12 @@ edges (NaN/NULL keys under both conventions, empty inners, mutation,
 mixed-kind build fallbacks).
 """
 
+import warnings
+
 import pytest
 
 from repro.api import EvalOptions
+from repro.backends.exec import BackendFallbackWarning
 from repro.core import builder as b
 from repro.core import nodes as n
 from repro.core.conventions import (
@@ -28,6 +31,7 @@ from repro.engine import Evaluator, decorrelate, evaluate
 from repro.workloads import sweeps
 
 REFERENCE = EvalOptions(planner=False)  # the nested-loop oracle
+SQLITE = EvalOptions(backend="sqlite")
 
 
 def _db(*, null_key=False):
@@ -547,6 +551,51 @@ class TestBandIndexEdges:
 
 
 class TestBandSqlRewrite:
+    def test_gamma_band_sweeps_only_over_one_stored_outer_relation(self):
+        # The sweep enumerates the outer (keys, band) domain, so it applies
+        # only when the outer operands read one stored relation bound in the
+        # same scope; every other γ∅ θ shape keeps the FOI scalar subquery.
+        # Both forms run natively and match the reference.
+        two_outer = (
+            "{Q(A, sm) | ∃r ∈ R, t ∈ R, x ∈ {X(sm) | ∃s ∈ S, γ ∅"
+            "[s.B = t.B ∧ s.A < r.A ∧ X.sm = sum(s.B)]}"
+            "[Q.A = r.A ∧ Q.sm = x.sm]}"
+        )
+        derived_outer = (
+            "{Q(A, sm) | ∃r ∈ {V(A) | ∃v ∈ R[V.A = v.A]}, x ∈ {X(sm) | "
+            "∃s ∈ S, γ ∅[s.A < r.A ∧ X.sm = sum(s.B)]}"
+            "[Q.A = r.A ∧ Q.sm = x.sm]}"
+        )
+        swept = parse(THETA_GAMMA.format(op="<", agg="sum"))
+        defined_inner = n.Program(
+            {
+                "D": parse("{D(A, B) | ∃t ∈ S[D.A = t.A ∧ D.B = t.B]}"),
+                "Q": parse(
+                    "{Q(A, sm) | ∃r ∈ R, x ∈ {X(sm) | ∃s ∈ D, γ ∅"
+                    "[s.A < r.A ∧ X.sm = sum(s.B)]}[Q.A = r.A ∧ Q.sm = x.sm]}"
+                ),
+            },
+            "Q",
+        )
+        db = _db(null_key=True)
+        for query, expect_sweep in (
+            (swept, True),
+            (parse(two_outer), False),
+            (parse(derived_outer), False),
+            (defined_inner, False),
+        ):
+            rewritten, leftovers = decorrelate.rewrite_for_sql(query)
+            assert leftovers == ()
+            assert expect_sweep == any(
+                isinstance(sub, decorrelate.BandSweep) for sub in rewritten.walk()
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", BackendFallbackWarning)
+                result = evaluate(query, db, SQL_CONVENTIONS, options=SQLITE)
+            assert result == evaluate(
+                query, db, SQL_CONVENTIONS, options=REFERENCE
+            )
+
     def test_non_grouped_band_joins_through_the_inequality(self):
         # A non-grouped θ shape unnest refuses (the inner binding is itself
         # a collection): the band FIO rewrite renders it as an uncorrelated
