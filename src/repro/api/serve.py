@@ -546,6 +546,10 @@ class _Handler(BaseHTTPRequestHandler):
     #: Socket timeout per read: an idle keep-alive connection parks its
     #: handler thread at most this long after the peer vanishes.
     timeout = 30
+    #: Headers and body leave in two writes; under Nagle's algorithm the
+    #: second would wait for the client's delayed ACK (~40 ms) on every
+    #: keep-alive response.
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------
 

@@ -285,25 +285,27 @@ class CorrelationSpec:
             band_expr = self.band_inner_expr
             arg_exprs = tuple(arg for _, _, arg in self.band_aggs)
             eval_expr = evaluator._eval_expr
-            for env, mult in compiled.execute(evaluator, {}):
+
+            def consume(env, mult):
+                nonlocal unknown
                 band_value = eval_expr(band_expr, env)
                 if is_null(band_value):
                     if three_valued:
                         unknown += 1
-                        continue
-                    return None  # 2VL orders NULL; keep the per-row oracle
+                        return
+                    raise _Unindexable  # 2VL orders NULL; keep the per-row oracle
                 if band_value != band_value:
                     if not three_valued:
                         # 2VL's total-order extension ranks NaN above NULL
                         # (compare keys (1, NaN) vs (0, 0)), so a NULL outer
                         # probe with >/>= would select it; the sorted band
                         # cannot carry that, so keep the per-row oracle.
-                        return None
-                    continue  # 3VL: NaN satisfies no ordering predicate
+                        raise _Unindexable
+                    return  # 3VL: NaN satisfies no ordering predicate
                 key = tuple(eval_expr(expr, env) for expr in key_exprs)
                 if three_valued and any(is_null(v) for v in key):
                     unknown += 1
-                    continue
+                    return
                 args = tuple(
                     None if arg is None else eval_expr(arg, env)
                     for arg in arg_exprs
@@ -314,6 +316,11 @@ class CorrelationSpec:
                     groups[key] = [entry]
                 else:
                     bucket.append(entry)
+
+            try:
+                compiled.execute(evaluator, {}, consume)
+            except _Unindexable:
+                return None
             built = {}
             for key, entries in groups.items():
                 group = _BandGroup.for_aggregates(
@@ -379,6 +386,10 @@ class CorrelationSpec:
             empty_row=None,
             tribucket=three_valued and unknown > 0,
         )
+
+
+class _Unindexable(Exception):
+    """Stops a band-index build whose data the sorted band cannot carry."""
 
 
 class FioIndex:

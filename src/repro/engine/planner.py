@@ -21,7 +21,16 @@ once into an execution plan that the evaluator runs instead:
   order.
 * **Grouping fusion.**  A grouping scope over a single stored relation is
   executed as one tight scan-and-bucket loop with streaming aggregate
-  finalization, bypassing the per-row environment/generator machinery.
+  finalization, bypassing the per-row environment machinery.
+
+**Push-model execution** (produce/consume, Neumann, VLDB 2011).  A plan
+runs as a chain of step closures built once per plan and (set/bag,
+2VL/3VL, deadline armed) flavour: each step binds its rows in turn and
+calls the next; the innermost hands every combination — the live frame
+and its multiplicity — to the caller's consumer callback (emission, a
+group fold, an index build), so nothing is copied per combination.  Per
+execute, each step resolves its relation and index once, on first reach.
+Only an armed chain advances the run's deadline stride, once per loop.
 
 Plans are cached per AST node (weakly, so temporary fixpoint rewrites do
 not leak) and validated against the evaluator's catalog before reuse, so
@@ -42,14 +51,14 @@ evaluation raises (e.g. heterogeneous arithmetic) may be reached by the
 planner for partial combinations the reference strategy never forms —
 when a later binding's relation turns out to be empty — so such degenerate
 queries can error under the planner while the reference returns empty.
-On queries whose predicates evaluate cleanly (everything the differential
-harness covers), results and errors agree exactly.
+On queries whose predicates evaluate cleanly, results and errors agree.
 """
 
 from __future__ import annotations
 
 import weakref
 from collections import Counter
+from itertools import islice
 
 from ..core import nodes as n
 from ..data.relation import Tuple
@@ -59,9 +68,6 @@ from ..util.deadline import STRIDE as _DEADLINE_STRIDE
 from . import aggregates as agg_lib
 from . import decorrelate
 
-#: Power-of-two mask for the inline deadline stride check in the hot loops:
-#: ``ops & _DL_MASK == 0`` every ``STRIDE`` rows triggers one clock read.
-_DL_MASK = _DEADLINE_STRIDE - 1
 
 _MISSING = object()
 
@@ -164,9 +170,11 @@ class CompiledScope:
         "deferred",
         "deferred_residual",
         "grouped",
+        "_chains",  # (is_set, three_valued, armed) -> entry step closure
     )
 
     def __init__(self):
+        self._chains = {}
         self.assumptions = ()
         self.steps = []
         self.pre_filters = []
@@ -177,280 +185,59 @@ class CompiledScope:
 
     # -- generic strict enumeration ------------------------------------------
 
-    def execute(self, ev, env, mult=1):
-        """Yield (env, mult) for every combination satisfying the scope.
-
-        Yielded environments are fresh dicts; the working frame is mutated
-        in place (push/pop) and never escapes, so abandoning the generator
-        mid-iteration is safe.
+    def execute(self, ev, env, consume, mult=1):
+        """Call ``consume(frame, mult)`` for every combination satisfying
+        the scope.  *frame* is the live working environment, valid only
+        during the call (a consumer that keeps it copies it); a consumer
+        may raise to abandon the enumeration, with nothing to unwind.
         """
         truth = ev._truth
         for formula in self.pre_filters:
             if truth(formula, env) is not Truth.TRUE:
                 return
-        stats = ev.stats
-        # Deadline guard: each row loop below is specialized into an
-        # unarmed variant (no added per-row work at all) and an armed one
-        # carrying a closure-local stride counter — an integer bump plus a
-        # bitwise mask per row, with the clock read (a method call)
-        # amortized to once per ``STRIDE`` rows.  The duplication is
-        # deliberate: a shared loop would pay an identity test per row on
-        # both paths, which is measurable on bucket-per-frame workloads.
-        deadline = ev.deadline
-        dl_ops = 0
-        dl_mask = _DL_MASK
-        is_set = ev.conventions.is_set
-        three_valued = ev.conventions.three_valued
-        steps = self.steps
-        last = len(steps)
-        frame = dict(env)
-        # Per-execute memo of FIO indexes: materialize() resolves the anchor
-        # relations and checks their shared caches, which is wasteful per
-        # frame; relations cannot mutate mid-execute, so one lookup per
-        # step suffices (still lazy — a step never reached never builds).
-        fio_indexes = {}
+        conventions = ev.conventions
+        armed = ev.deadline is not None
+        flavour = (conventions.is_set, conventions.three_valued, armed)
+        chain = self._chains.get(flavour)
+        if chain is None:
+            chain = self._chains[flavour] = self._build_chain(flavour)
+        chain(_Run(ev, dict(env), consume, len(self.steps)), mult)
 
-        def run(depth, mult):
-            nonlocal dl_ops
-            if depth == last:
-                for formula in self.final_filters:
-                    if truth(formula, frame) is not Truth.TRUE:
-                        return
-                if self.deferred:
-                    yield from ev._resolve_deferred(
-                        list(self.deferred),
-                        self.deferred_residual,
-                        dict(frame),
-                        mult,
-                        strict=True,
-                    )
-                else:
-                    stats.combos_emitted += 1
-                    yield dict(frame), mult
+    def _build_chain(self, flavour):
+        """Link one closure per step, innermost first, into the entry step.
+
+        The innermost step hands each combination straight to the run's
+        consumer unless a tail (final filters, deferred bindings) sits in
+        between.  Only an *armed* chain's steps test the deadline.
+        """
+        nxt = self._tail()
+        for depth in range(len(self.steps) - 1, -1, -1):
+            nxt = _step_closure(self.steps, depth, nxt, *flavour)
+        return _emit_frame if nxt is None else nxt
+
+    def _tail(self):
+        """The per-combination tail, or None when there is nothing to do."""
+        final_filters, deferred = self.final_filters, self.deferred
+        residual = self.deferred_residual
+        if not final_filters and not deferred:
+            return None
+
+        def tail(run, mult):
+            ev = run.ev
+            frame = run.frame
+            for formula in final_filters:
+                if ev._truth(formula, frame) is not Truth.TRUE:
+                    return
+            if not deferred:
+                _emit_frame(run, mult)
                 return
-            step = steps[depth]
-            var = step.var
-            saved = frame.get(var, _MISSING)
-            try:
-                if step.relation_name is None:
-                    filters = step.filters
-                    decorr = step.decorr
-                    if decorr is not None:
-                        index = fio_indexes.get(depth, _MISSING)
-                        if index is _MISSING:
-                            index = fio_indexes[depth] = decorr.materialize(ev)
-                    else:
-                        index = None
-                    if index is not None:
-                        # Decorrelated (FIO) lateral: probe the materialized
-                        # index instead of re-evaluating the inner
-                        # collection per frame.
-                        key = []
-                        usable = True
-                        for expr in decorr.outer_exprs:
-                            try:
-                                value = ev._eval_expr(expr, frame)
-                            except EvaluationError:
-                                # Key not computable: the per-frame path
-                                # below surfaces the same error row by row.
-                                usable = False
-                                break
-                            if (three_valued and is_null(value)) or value != value:
-                                # NULL under 3VL / NaN under any convention:
-                                # the correlation equality is never TRUE.
-                                key = None
-                                break
-                            key.append(value)
-                        band_value = None
-                        if usable and decorr.strategy == "band":
-                            try:
-                                band_value = ev._eval_expr(
-                                    decorr.band_outer_expr, frame
-                                )
-                            except EvaluationError:
-                                usable = False
-                        if usable:
-                            stats.index_probes += 1
-                            if index.tribucket:
-                                stats.tribucket_probes += 1
-                            if decorr.strategy == "band":
-                                # θ-band probe: bisect the sorted entries;
-                                # γ∅ scopes fold prefix-aggregate arrays at
-                                # the boundary (one row, count-bug exact).
-                                bucket = index.probe(
-                                    None if key is None else tuple(key),
-                                    band_value,
-                                    is_set,
-                                )
-                            else:
-                                bucket = (
-                                    None if key is None else index.get(tuple(key))
-                                )
-                                if bucket is None and decorr.empty_group:
-                                    # γ∅ emits one row even over an empty
-                                    # group (the count bug's asymmetry):
-                                    # every missing key maps to one shared
-                                    # frame — the domain-join compensation,
-                                    # synthesized once per index.
-                                    stats.lateral_probe_misses += 1
-                                    bucket = index.empty_group_items(
-                                        ev, step.binding.source, frame, stats
-                                    )
-                            if deadline is None:
-                                for row, row_mult in bucket or ():
-                                    stats.rows_enumerated += 1
-                                    frame[var] = row
-                                    for formula in filters:
-                                        if truth(formula, frame) is not Truth.TRUE:
-                                            break
-                                    else:
-                                        yield from run(depth + 1, mult * row_mult)
-                                return
-                            for row, row_mult in bucket or ():
-                                stats.rows_enumerated += 1
-                                dl_ops += 1
-                                if not dl_ops & dl_mask:
-                                    deadline.check()
-                                frame[var] = row
-                                for formula in filters:
-                                    if truth(formula, frame) is not Truth.TRUE:
-                                        break
-                                else:
-                                    yield from run(depth + 1, mult * row_mult)
-                            return
-                    # Per-frame (FOI) lateral: the inner collection is
-                    # re-evaluated under every outer environment.
-                    if deadline is None:
-                        for row, row_mult in ev._binding_rows(step.binding, frame):
-                            stats.rows_enumerated += 1
-                            frame[var] = row
-                            for formula in filters:
-                                if truth(formula, frame) is not Truth.TRUE:
-                                    break
-                            else:
-                                yield from run(depth + 1, mult * row_mult)
-                        return
-                    for row, row_mult in ev._binding_rows(step.binding, frame):
-                        stats.rows_enumerated += 1
-                        dl_ops += 1
-                        if not dl_ops & dl_mask:
-                            deadline.check()
-                        frame[var] = row
-                        for formula in filters:
-                            if truth(formula, frame) is not Truth.TRUE:
-                                break
-                        else:
-                            yield from run(depth + 1, mult * row_mult)
-                    return
-                relation = ev._resolve_relation(step.relation_name)
-                rows_map = relation._rows
-                if not rows_map:
-                    return
-                if step.lookup_attrs is not None:
-                    key = []
-                    usable = True
-                    for expr in step.key_exprs:
-                        try:
-                            value = ev._eval_expr(expr, frame)
-                        except EvaluationError:
-                            usable = False
-                            break
-                        if three_valued and is_null(value):
-                            # x = NULL is never TRUE under 3VL: no rows.
-                            return
-                        if value != value:
-                            # NaN keys: x = NaN is FALSE for every x, but a
-                            # dict probe would match the identical NaN object
-                            # by identity — so short-circuit to no rows.
-                            return
-                        key.append(value)
-                    if usable:
-                        stats.index_probes += 1
-                        bucket = relation.index_on(step.lookup_attrs).get(tuple(key))
-                        if not bucket:
-                            return
-                        filters = step.filters
-                        if deadline is None:
-                            for row, row_mult in bucket:
-                                stats.rows_enumerated += 1
-                                frame[var] = row
-                                for formula in filters:
-                                    if truth(formula, frame) is not Truth.TRUE:
-                                        break
-                                else:
-                                    yield from run(
-                                        depth + 1, mult if is_set else mult * row_mult
-                                    )
-                            return
-                        for row, row_mult in bucket:
-                            stats.rows_enumerated += 1
-                            dl_ops += 1
-                            if not dl_ops & dl_mask:
-                                deadline.check()
-                            frame[var] = row
-                            for formula in filters:
-                                if truth(formula, frame) is not Truth.TRUE:
-                                    break
-                            else:
-                                yield from run(
-                                    depth + 1, mult if is_set else mult * row_mult
-                                )
-                        return
-                    # Key not computable (e.g. unbound outer variable): fall
-                    # back to a scan so the equality surfaces the same error
-                    # the reference strategy would raise, row by row.
-                filters = step.scan_filters
-                if is_set:
-                    if deadline is None:
-                        for row in rows_map:
-                            stats.rows_enumerated += 1
-                            frame[var] = row
-                            for formula in filters:
-                                if truth(formula, frame) is not Truth.TRUE:
-                                    break
-                            else:
-                                yield from run(depth + 1, mult)
-                        return
-                    for row in rows_map:
-                        stats.rows_enumerated += 1
-                        dl_ops += 1
-                        if not dl_ops & dl_mask:
-                            deadline.check()
-                        frame[var] = row
-                        for formula in filters:
-                            if truth(formula, frame) is not Truth.TRUE:
-                                break
-                        else:
-                            yield from run(depth + 1, mult)
-                else:
-                    if deadline is None:
-                        for row, row_mult in rows_map.items():
-                            stats.rows_enumerated += 1
-                            frame[var] = row
-                            for formula in filters:
-                                if truth(formula, frame) is not Truth.TRUE:
-                                    break
-                            else:
-                                yield from run(depth + 1, mult * row_mult)
-                        return
-                    for row, row_mult in rows_map.items():
-                        stats.rows_enumerated += 1
-                        dl_ops += 1
-                        if not dl_ops & dl_mask:
-                            deadline.check()
-                        frame[var] = row
-                        for formula in filters:
-                            if truth(formula, frame) is not Truth.TRUE:
-                                break
-                        else:
-                            yield from run(depth + 1, mult * row_mult)
-            finally:
-                if saved is _MISSING:
-                    frame.pop(var, None)
-                else:
-                    frame[var] = saved
+            consume = run.consume
+            for env, env_mult in ev._resolve_deferred(
+                list(deferred), residual, dict(frame), mult, strict=True
+            ):
+                consume(env, env_mult)
 
-        yield from run(0, mult)
+        return tail
 
     # -- fused grouping ---------------------------------------------------------
 
@@ -566,14 +353,11 @@ class CompiledScope:
         var = step.var
         key_exprs = spec.key_exprs
         eval_expr = ev._eval_expr
-        dl_ops = 0
         for entry in source:
             row = entry[0]
             ev.stats.rows_enumerated += 1
             if deadline is not None:
-                dl_ops += 1
-                if not dl_ops & _DL_MASK:
-                    deadline.check()
+                deadline.tick()
             frame[var] = row
             keep = True
             for formula in filters:
@@ -638,7 +422,7 @@ class CompiledScope:
             else:
                 # Empty γ∅ group: mirror the reference fallback (outer env
                 # only), including its error wording.
-                value = ev._eval_group_expr(expr, env, env, bucket)
+                value = ev._eval_group_expr(expr, env, env, False)
             if attr in assigns and assigns[attr] != value:
                 return None
             assigns[attr] = value
@@ -846,6 +630,220 @@ def _fold_aggregate(ev, var, env, bucket, is_set, func, arg_kind, payload, conve
             frame[var] = row
             pairs.append((ev._eval_expr(payload, frame), 1 if is_set else mult))
     return agg_lib.aggregate(func, pairs, conventions)
+
+
+# ---------------------------------------------------------------------------
+# Step closures (push model)
+# ---------------------------------------------------------------------------
+
+#: A probe key that raises: the step scans instead (see ``run_step``).
+_UNUSABLE = object()
+
+
+class _Run:
+    """Per-execute state threaded through a plan's step closures (which
+    every execute of the plan shares, from every thread)."""
+
+    __slots__ = ("ev", "stats", "frame", "consume", "resolved", "indexes")
+
+    def __init__(self, ev, frame, consume, width):
+        self.ev = ev
+        self.stats = ev.stats
+        self.frame = frame
+        self.consume = consume
+        # Filled on a step's first reach, never before: a step that is
+        # never reached neither raises nor builds an index.
+        self.resolved = [None] * width
+        self.indexes = [_MISSING] * width
+
+
+def _emit_frame(run, mult):
+    run.stats.combos_emitted += 1
+    run.consume(run.frame, mult)
+
+
+def _step_closure(steps, depth, nxt, is_set, three_valued, armed):
+    """The closure running one binding step.
+
+    It finds the step's candidate rows for the current frame (an index
+    bucket, the whole relation, or a lateral's rows) and binds each in
+    turn; a row that passes the step's filters goes on to *nxt* or, for
+    the innermost step without a tail, straight to the run's consumer.
+    """
+    step = steps[depth]
+    var = step.var
+    name = step.relation_name
+    filters = step.filters
+    scan_filters = step.scan_filters
+    lookup = step.lookup_attrs
+    key_exprs = step.key_exprs
+    # Plain attribute keys are read straight off the bound rows.
+    reads = (
+        tuple((expr.var, expr.attr) for expr in key_exprs)
+        if lookup is not None and all(isinstance(expr, n.Attr) for expr in key_exprs)
+        else None
+    )
+    key_var, key_attr = reads[0] if reads and len(reads) == 1 else (None, None)
+    # Set semantics ignore stored multiplicities; laterals are
+    # collections, already set-normalized.
+    keep_mult = is_set and name is not None
+    # Only a lateral evaluated under the frame sees a deeper step's binding
+    # (filters and probe keys never name one): restore below one, writing
+    # None (unbound) back, as deleting the key rehashes the frame per step.
+    restore = any(other.relation_name is None for other in steps[:depth])
+
+    def run_step(run, mult):
+        frame = run.frame
+        stats = run.stats
+        active = filters
+        if name is None:
+            rows = _lateral_rows(run, depth, step, frame, is_set, three_valued)
+        else:
+            relation = run.resolved[depth]
+            if relation is None:
+                relation = run.resolved[depth] = run.ev._resolve_relation(name)
+            rows = relation._rows
+            if not rows:
+                return
+            if reads is not None:
+                try:
+                    if key_var is not None:
+                        key = (frame[key_var]._values[key_attr],)
+                    else:
+                        key = tuple([frame[v]._values[a] for v, a in reads])
+                except (KeyError, AttributeError):
+                    # Evaluated instead, raising (or not) as the reference does.
+                    key = _probe_key(run.ev, key_exprs, frame, three_valued)
+                else:
+                    for value in key:
+                        if (three_valued and value is NULL) or value != value:
+                            return
+            elif lookup is not None:
+                key = _probe_key(run.ev, key_exprs, frame, three_valued)
+            else:
+                key = _UNUSABLE
+            if key is None:
+                return
+            if key is _UNUSABLE:
+                # No index, or a key that raises: scan, so the equality
+                # surfaces the reference strategy's error row by row.
+                rows = rows.items()
+                active = scan_filters
+            else:
+                stats.index_probes += 1
+                index = run.indexes[depth]
+                if index is _MISSING:
+                    index = run.indexes[depth] = relation.index_on(lookup)
+                rows = index.get(key)
+                if not rows:
+                    return
+        count = len(rows)
+        stats.rows_enumerated += count
+        if armed:
+            # The run's one stride count, which nested scopes advance too;
+            # a loop longer than a stride ticks once per STRIDE rows.
+            if count > _DEADLINE_STRIDE:
+                rows = _strided(rows, run.ev.deadline)
+            else:
+                run.ev.deadline.tick(count)
+        if nxt is None:
+            target, arg = run.consume, frame
+        else:
+            target, arg = nxt, run
+        if restore:
+            saved = frame.get(var)
+        if active:
+            truth = run.ev._truth
+            passed = 0
+            for row, row_mult in rows:
+                frame[var] = row
+                for formula in active:
+                    if truth(formula, frame) is not Truth.TRUE:
+                        break
+                else:
+                    passed += 1
+                    target(arg, mult if keep_mult else mult * row_mult)
+        else:
+            passed = count
+            for row, row_mult in rows:
+                frame[var] = row
+                target(arg, mult if keep_mult else mult * row_mult)
+        if nxt is None:
+            stats.combos_emitted += passed
+        if restore:
+            frame[var] = saved
+
+    return run_step
+
+
+def _strided(rows, deadline):
+    """Yield *rows*, ticking *deadline* once per ``STRIDE`` of them."""
+    rows = iter(rows)
+    while chunk := list(islice(rows, _DEADLINE_STRIDE)):
+        deadline.tick(len(chunk))
+        yield from chunk
+
+
+def _lateral_rows(run, depth, step, frame, is_set, three_valued):
+    """A lateral step's ``(row, mult)`` pairs for the current frame."""
+    ev = run.ev
+    decorr = step.decorr
+    index = None
+    if decorr is not None:
+        index = run.indexes[depth]
+        if index is _MISSING:
+            index = run.indexes[depth] = decorr.materialize(ev)
+    if index is not None:
+        # Decorrelated (FIO) lateral: probe the materialized index.  An
+        # outer operand that raises falls through to the per-frame path,
+        # which raises it row by row.
+        key = _probe_key(ev, decorr.outer_exprs, frame, three_valued)
+        band = decorr.strategy == "band"
+        if band and key is not _UNUSABLE:
+            try:
+                band_value = ev._eval_expr(decorr.band_outer_expr, frame)
+            except EvaluationError:
+                key = _UNUSABLE
+        if key is not _UNUSABLE:
+            stats = run.stats
+            stats.index_probes += 1
+            if index.tribucket:
+                stats.tribucket_probes += 1
+            if band:
+                # θ-band probe: bisect the sorted entries; γ∅ scopes fold
+                # prefix aggregates at the boundary (one row, count-bug exact).
+                return index.probe(key, band_value, is_set)
+            bucket = None if key is None else index.get(key)
+            if bucket is None and decorr.empty_group:
+                # γ∅ emits one row even over an empty group (the count bug):
+                # every missing key maps to one shared frame, the domain-join
+                # compensation, synthesized once per index.
+                stats.lateral_probe_misses += 1
+                bucket = index.empty_group_items(ev, step.binding.source, frame, stats)
+            return bucket or ()
+    # Per-frame (FOI) lateral: the inner collection is re-evaluated under
+    # every outer environment.
+    return list(ev._binding_rows(step.binding, frame))
+
+
+def _probe_key(ev, exprs, frame, three_valued):
+    """One probe's key tuple; None when the equality can never be TRUE;
+    ``_UNUSABLE`` when a key expression raises.
+
+    NULL under 3VL is never ``=`` to anything, and neither is NaN under
+    any convention (a dict probe would match the identical NaN object);
+    ``run_step`` applies the same test to attribute keys it reads itself.
+    """
+    key = []
+    for expr in exprs:
+        try:
+            value = ev._eval_expr(expr, frame)
+        except EvaluationError:
+            return _UNUSABLE
+        if (three_valued and is_null(value)) or value != value:
+            return None
+        key.append(value)
+    return tuple(key)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,11 @@ must *answer* with a typed error (:class:`~repro.errors.QueryTimeout` /
 
 Two kinds of checks, tuned for hot loops:
 
-* :meth:`tick` — called once per enumerated row in the execution loops.
-  It only bumps a counter; every :data:`STRIDE` ticks it reads the
-  monotonic clock and raises :class:`~repro.errors.QueryTimeout` past the
-  deadline.  The common case is one integer add and one compare, so the
+* :meth:`tick` — called once per enumerated row in the execution loops
+  (or once per batch of at most :data:`STRIDE` rows), across every
+  nesting level of the run.  It only bumps a counter; every
+  :data:`STRIDE` rows it reads the monotonic clock and raises
+  :class:`~repro.errors.QueryTimeout` past the deadline.  The common case is one integer add and one compare, so the
   guard stays well under the 5 % overhead ceiling the CI perf gate asserts
   on the E23 width-4 sweep.
 * :meth:`count_rows` — called where result rows are *produced* (collection
@@ -181,13 +182,15 @@ class Deadline:
                 f"(ran {(self._clock() - self._started) * 1000:.0f} ms)"
             )
 
-    def tick(self):
+    def tick(self, n=1):
         """Stride-counted per-row check for hot loops.
 
-        Call once per enumerated row; reads the clock only every
-        :data:`STRIDE` calls.
+        Call once per enumerated row, or once with *n* before a loop over
+        *n* rows (at most :data:`STRIDE` of them); reads the clock only
+        every :data:`STRIDE` rows.  One count spans the whole run, so a
+        nested scope's rows advance the same stride as its outer loop's.
         """
-        self._ops += 1
+        self._ops += n
         if self._ops >= self._next_check:
             self._next_check = self._ops + STRIDE
             self.check()

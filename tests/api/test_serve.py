@@ -140,6 +140,39 @@ class TestQuery:
         assert stats["lateral_reevals"] == 0
 
 
+class TestKeepAlive:
+    def test_back_to_back_requests_do_not_stall_on_delayed_acks(self, server):
+        """Headers and body leave the handler in two writes; with Nagle's
+        algorithm on, the second waits for the client's delayed ACK
+        (~40 ms per response on Linux).  The handler disables it."""
+        import http.client
+        import statistics
+        import time
+
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        body = json.dumps({"query": QUERY}).encode("utf-8")
+
+        def latencies(method, path, payload=None):
+            took = []
+            for _ in range(20):
+                start = time.perf_counter()
+                conn.request(method, path, payload)
+                response = conn.getresponse()
+                response.read()
+                took.append((time.perf_counter() - start) * 1000)
+                assert response.status == 200
+            return took
+
+        try:
+            healthz = latencies("GET", "/healthz")
+            query = latencies("POST", "/query", body)
+        finally:
+            conn.close()
+        assert statistics.median(healthz) < 20, healthz
+        assert statistics.median(query) < 20, query
+
+
 class TestErrors:
     def _post_error(self, server, body, *, raw=None):
         data = raw if raw is not None else json.dumps(body).encode("utf-8")

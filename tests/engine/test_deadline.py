@@ -8,6 +8,7 @@ fixpoint semantics guarantee it never converges, so only the deadline can
 stop it.
 """
 
+import threading
 import time
 
 import pytest
@@ -71,6 +72,15 @@ class TestDeadlineUnit:
         with pytest.raises(QueryTimeout):
             for _ in range(STRIDE + 1):
                 deadline.tick()
+
+    def test_a_batched_tick_advances_the_same_stride(self):
+        clock = FakeClock()
+        deadline = Deadline(timeout_ms=100, clock=clock)
+        reads_after_init = clock.reads
+        deadline.tick(STRIDE - 1)
+        assert clock.reads == reads_after_init
+        deadline.tick()  # crosses the stride the batch began
+        assert clock.reads == reads_after_init + 1
 
     def test_count_rows_enforces_the_budget(self):
         deadline = Deadline(max_rows=5)
@@ -150,6 +160,102 @@ class TestRunawayTimeouts:
         with pytest.raises(QueryTimeout):
             session.prepare(RUNAWAY).run(timeout_ms=200)
         assert (time.monotonic() - start) < 2.0
+
+
+def _cross_db(n=400):
+    db = repro.Database()
+    for name in ("A", "B", "C"):
+        db.create(name, ("v",), [(i,) for i in range(n)])
+    return db
+
+
+#: 64M combinations, all folded into one count: no row is emitted until
+#: the enumeration ends, so only the scope's own loops can notice.
+CROSS_COUNT = "{Q(ct) | ∃a ∈ A, b ∈ B, c ∈ C, γ ∅[Q.ct = count(*)]}"
+
+
+class TestFoldPath:
+    """A grouped scope's work is all in the fold, past any emission."""
+
+    def test_gamma_count_over_a_cross_product_times_out(self):
+        timeout_ms = 300
+        session = Session(
+            _cross_db(), SET_CONVENTIONS, options=EvalOptions(timeout_ms=timeout_ms)
+        )
+        start = time.monotonic()
+        with pytest.raises(QueryTimeout):
+            session.prepare(CROSS_COUNT).run()
+        elapsed_ms = (time.monotonic() - start) * 1000
+        assert elapsed_ms < 2 * timeout_ms + 500
+        assert session.stats.timeouts == 1
+
+    def test_cancel_token_stops_the_fold(self):
+        from repro.util.deadline import CancelToken
+
+        token = CancelToken()
+        session = Session(_cross_db(), SET_CONVENTIONS)
+        prepared = session.prepare(CROSS_COUNT)
+        timer = threading.Timer(0.2, token.cancel, args=("stop",))
+        start = time.monotonic()
+        timer.start()
+        try:
+            with pytest.raises(QueryTimeout, match="stop"):
+                prepared.run(cancel=token)
+        finally:
+            timer.cancel()
+            timer.join(timeout=5)
+        assert time.monotonic() - start < 2 * 0.2 + 0.5
+
+    def test_nested_negation_filter_times_out(self):
+        # One 800-row scan whose filter runs a non-strict ¬∃ over 800 rows
+        # that never satisfy it: neither loop alone reaches a stride per
+        # call, so only a stride counted across the whole run notices.
+        db = repro.Database()
+        db.create("A", ("v",), [(i,) for i in range(800)])
+        db.create("B", ("v",), [(-i - 1,) for i in range(800)])
+        timeout_ms = 300
+        session = Session(db, SET_CONVENTIONS, options=EvalOptions(timeout_ms=timeout_ms))
+        start = time.monotonic()
+        with pytest.raises(QueryTimeout):
+            session.prepare(
+                "{Q(a) | ∃x ∈ A[Q.a = x.v ∧ ¬∃y ∈ B[y.v > x.v]]}"
+            ).run()
+        assert (time.monotonic() - start) * 1000 < 2 * timeout_ms + 500
+
+    def test_a_long_scan_reads_the_clock_once_per_stride(self):
+        from repro.core.parser import parse
+        from repro.engine import Evaluator
+
+        class SteppingClock(FakeClock):
+            def __call__(self):
+                self.now += 0.04  # each read is 40 ms later
+                return super().__call__()
+
+        db = repro.Database()
+        db.create("A", ("v",), [(i,) for i in range(10 * STRIDE)])
+        clock = SteppingClock()
+        evaluator = Evaluator(
+            db, SET_CONVENTIONS, deadline=Deadline(timeout_ms=100, clock=clock)
+        )
+        # One step over 10 strides of rows: the third stride's clock read
+        # is past the deadline, long before the scan ends.
+        with pytest.raises(QueryTimeout):
+            evaluator.evaluate(parse("{Q(a) | ∃x ∈ A[Q.a = x.v ∧ x.v < 0]}"))
+        assert clock.reads <= 5
+
+    def test_emitting_join_still_trips_the_row_budget_promptly(self):
+        max_rows = 50
+        session = Session(
+            _cross_db(), SET_CONVENTIONS, options=EvalOptions(max_rows=max_rows)
+        )
+        with pytest.raises(BudgetExceeded):
+            session.prepare(
+                "{Q(a, b) | ∃x ∈ A, y ∈ B[Q.a = x.v ∧ Q.b = y.v]}"
+            ).run()
+        assert session.stats.budget_exceeded == 1
+        # Emission is pushed row by row: the trip lands within one budget
+        # stride, long before the 160,000-row product is enumerated.
+        assert session.stats.rows_enumerated < max_rows + 4 * STRIDE
 
 
 class TestRowBudget:

@@ -136,6 +136,50 @@ def test_extend_new_accumulates_intra_batch_duplicates():
     assert (9, 9) not in rel
 
 
+# -- push-model scope execution -------------------------------------------------
+
+CHAIN_COUNT = (
+    "{Q(ct) | ∃r0 ∈ R0, r1 ∈ R1, r2 ∈ R2, r3 ∈ R3, γ ∅"
+    "[r0.B = r1.B ∧ r1.C = r2.C ∧ r2.D = r3.D ∧ Q.ct = count(*)]}"
+)
+
+
+@pytest.mark.parametrize(
+    "conventions_name,count", [("sql", 383), ("set", 312)]
+)
+def test_chain_count_counters_and_one_index_lookup_per_step(
+    monkeypatch, conventions_name, count
+):
+    """The width-4 γ∅ ``count(*)`` chain folds every combination without
+    changing what the execution layer counts, and resolves each probed
+    step's index once per execute instead of once per probe."""
+    from repro.core.conventions import SET_CONVENTIONS, SQL_CONVENTIONS
+    from repro.data.relation import Relation
+
+    conventions = {"sql": SQL_CONVENTIONS, "set": SET_CONVENTIONS}[conventions_name]
+    db = generators.chain_database(4, 60, domain=30, seed=3)
+    lookups = []
+    index_on = Relation.index_on
+
+    def counting_index_on(self, attrs):
+        lookups.append((self.name, tuple(attrs)))
+        return index_on(self, attrs)
+
+    monkeypatch.setattr(Relation, "index_on", counting_index_on)
+    evaluator = Evaluator(db, conventions)
+    result = evaluator.evaluate(parse(CHAIN_COUNT))
+    assert [row["ct"] for row in result] == [count]
+    stats = evaluator.stats
+    # The values the generator-based executor produced on this instance.
+    assert (stats.combos_emitted, stats.rows_enumerated, stats.index_probes) == (
+        312,
+        636,
+        324,
+    ), stats.as_dict()
+    # Three probed steps (r1, r2, r3), one execute.
+    assert sorted(lookups) == [("R1", ("B",)), ("R2", ("C",)), ("R3", ("D",))]
+
+
 # -- FOI → FIO decorrelation ---------------------------------------------------
 
 

@@ -16,13 +16,15 @@ from repro.core import builder as b
 from repro.core import nodes as n
 from repro.core.conventions import (
     Conventions,
+    EmptyAggregate,
+    NullComparison,
     SET_CONVENTIONS,
     SOUFFLE_CONVENTIONS,
     SQL_CONVENTIONS,
     Semantics,
 )
 from repro.core.parser import parse
-from repro.data import Database, NULL, generators
+from repro.data import Database, NULL, Truth, generators
 from repro.engine import evaluate
 from repro.errors import ArcError
 from repro.workloads import instances, paper_examples, sweeps
@@ -209,6 +211,146 @@ def test_correlated_lateral_group_agrees():
     query = sweeps.lateral_query()
     for _, conventions in CONVENTION_SET:
         assert_agree(query, db, conventions)
+
+
+# -- grouped scopes over multi-binding joins ------------------------------------
+#
+# A grouping scope with two or more bindings runs through the generic plan
+# and the streaming group fold (one binding takes the fused path instead).
+
+GRID_CONVENTIONS = CONVENTION_SET[:2] + [
+    ("set-2vl", SET_CONVENTIONS.with_(null_comparison=NullComparison.TWO_VALUED)),
+    (
+        "bag-2vl-zero",
+        SQL_CONVENTIONS.with_(
+            null_comparison=NullComparison.TWO_VALUED,
+            empty_aggregate=EmptyAggregate.ZERO,
+        ),
+    ),
+    ("souffle", SOUFFLE_CONVENTIONS),
+]
+
+GRID_AGGS = ["count(*)", "count", "sum", "avg", "min", "max", "countdistinct"]
+
+#: One shared NaN object: a dict probe would match it by identity, but
+#: ``NaN = NaN`` is never TRUE.  Only join and grouping keys carry it
+#: (an aggregate over NaN returns a fresh NaN, unequal to any other).
+NAN = float("nan")
+
+JOINS = {
+    2: ("r ∈ R, s ∈ S", "r.B = s.B", "s.V"),
+    3: ("r ∈ R, s ∈ S, t ∈ T", "r.B = s.B ∧ s.C = t.C", "t.D"),
+}
+
+
+def _grid_query(width, agg, keyed):
+    bindings, joins, arg = JOINS[width]
+    call = "count(*)" if agg == "count(*)" else f"{agg}({arg})"
+    if keyed:
+        return parse(
+            f"{{Q(k, v) | ∃{bindings}, γ r.A[{joins} ∧ Q.k = r.A ∧ Q.v = {call}]}}"
+        )
+    return parse(f"{{Q(v) | ∃{bindings}, γ ∅[{joins} ∧ Q.v = {call}]}}")
+
+
+def _grid_db(variant, seed):
+    rng = random.Random(seed)
+
+    def value(domain, nullable):
+        if nullable and rng.random() < 0.25:
+            return NULL
+        if variant == "nan-keys" and nullable and rng.random() < 0.25:
+            return NAN
+        return rng.randrange(domain)
+
+    keys = variant in ("null-keys", "nan-keys")
+    db = Database()
+    for name, attrs, key_attrs in (
+        ("R", ("A", "B"), ("A", "B")),
+        ("S", ("B", "C", "V"), ("B", "C")),
+        ("T", ("C", "D"), ("C",)),
+    ):
+        rows = []
+        if not (variant == "empty" and name == "S"):
+            for _ in range(rng.randint(4, 9)):
+                rows.append(
+                    tuple(
+                        value(3, keys and attr in key_attrs)
+                        if attr in key_attrs
+                        else value(5, variant == "null-args")
+                        for attr in attrs
+                    )
+                )
+        if variant == "duplicates":
+            rows += rows[: len(rows) // 2]
+        db.create(name, attrs, rows)
+    return db
+
+
+@pytest.mark.parametrize(
+    "variant", ["plain", "null-keys", "null-args", "nan-keys", "empty", "duplicates"]
+)
+@pytest.mark.parametrize("width", [2, 3])
+def test_grouped_multi_binding_grid_agrees(width, variant):
+    for seed in range(2):
+        db = _grid_db(variant, seed + 10 * width)
+        for agg in GRID_AGGS:
+            for keyed in (False, True):
+                query = _grid_query(width, agg, keyed)
+                for _, conventions in GRID_CONVENTIONS:
+                    assert_agree(query, db, conventions)
+
+
+@pytest.mark.parametrize("variant", ["plain", "empty"])
+def test_gamma_empty_scope_variable_assignment_errors_agree(variant):
+    """A γ∅ key assignment is undefined over an empty group: both
+    strategies must raise the same error type (or agree on the answer)."""
+    query = parse(
+        "{Q(k, v) | ∃r ∈ R, s ∈ S, γ ∅[r.B = s.B ∧ Q.k = r.A ∧ Q.v = count(*)]}"
+    )
+    db = _grid_db(variant, 3)
+    for _, conventions in GRID_CONVENTIONS:
+        assert_agree(query, db, conventions)
+
+
+def test_aggregate_argument_errors_surface_only_for_groups_reached():
+    """Group A=2's ``s.C + 1`` raises.  The boolean scope stops at the
+    first satisfying group (A=1) and never computes A=2's aggregate; the
+    emitting scope computes every group and raises."""
+    db = Database()
+    db.create("R", ("A", "B"), [(1, 1), (2, 2)])
+    db.create("S", ("B", "C"), [(1, 5), (2, "x")])
+    sentence = parse("∃r ∈ R, s ∈ S, γ r.A[r.B = s.B ∧ sum(s.C + 1) > 0]")
+    collection = parse(
+        "{Q(a, v) | ∃r ∈ R, s ∈ S, γ r.A"
+        "[r.B = s.B ∧ Q.a = r.A ∧ Q.v = sum(s.C + 1)]}"
+    )
+    for _, conventions in CONVENTION_SET:
+        for options in (PLANNER, REFERENCE):
+            assert evaluate(sentence, db, conventions, options=options) is Truth.TRUE
+            with pytest.raises(TypeError):
+                evaluate(collection, db, conventions, options=options)
+
+
+def test_lateral_sees_the_outer_binding_a_later_step_shadows():
+    """``y``'s collection reads the outer ``x``; the inner scope's later
+    ``x ∈ T`` shadows it.  The lateral re-evaluates once per ``w`` row,
+    after ``x ∈ T`` has run, and must still see the outer row."""
+    db = Database()
+    db.create("R", ("A",), [(1,), (2,)])
+    db.create("W", ("K",), [(10,), (20,), (30,)])
+    db.create("S", ("A", "B"), [(1, 5), (2, 6), (7, 8)])
+    db.create("T", ("A", "C"), [(7, 5), (7, 6), (1, 5)])
+    query = parse(
+        "{Q(a, k, c) | ∃x ∈ R[Q.a = x.A ∧ ∃w ∈ W, "
+        "y ∈ {Y(b) | ∃z ∈ S[Y.b = z.B ∧ z.A = x.A]}, x ∈ T"
+        "[Q.k = w.K ∧ Q.c = x.C ∧ x.C = y.b]]}"
+    )
+    for _, conventions in CONVENTION_SET:
+        assert_agree(query, db, conventions)
+        assert evaluate(query, db, conventions, options=PER_ROW) == evaluate(
+            query, db, conventions, options=REFERENCE
+        )
 
 
 # -- correlated-lateral decorrelation (FOI → FIO) ------------------------------
